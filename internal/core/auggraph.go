@@ -52,11 +52,14 @@ func (k Kind) CommLike() bool { return k != KindCall }
 // nodes occupy both endpoint meshes; call nodes occupy exactly their
 // assignment's mesh.
 type AugNode struct {
-	ID    int
-	Kind  Kind
-	Label string
-	// Call is set for KindCall.
+	ID   int
+	Kind Kind
+	// Call is the model function call the node serves: the call itself for
+	// KindCall, the consuming call whose parameters or inputs a realloc,
+	// offload or data-transfer node delivers.
 	Call *dfg.Node
+	// From is the producing call of a KindDataTransfer node.
+	From *dfg.Node
 	// Role owning the payload for realloc/offload nodes.
 	Role dfg.Role
 	// Meshes are the device meshes this node occupies while executing.
@@ -68,6 +71,20 @@ type AugNode struct {
 
 	Parents  []int
 	Children []int
+}
+
+// Label renders the node's name: "ActorGen@0" for a call,
+// "realloc:ActorGen@0" or "offload:RefInf@0" for the parameter move feeding
+// a call, "xfer:ActorGen->RewInf@0" for a data transfer. It formats a fresh
+// string on every call, so hot loops should render it once per node.
+func (n *AugNode) Label() string {
+	switch n.Kind {
+	case KindCall:
+		return fmt.Sprintf("%s@%d", n.Call.Name, n.Call.Iter)
+	case KindDataTransfer:
+		return fmt.Sprintf("xfer:%s->%s@%d", n.From.Name, n.Call.Name, n.Call.Iter)
+	}
+	return fmt.Sprintf("%s:%s@%d", n.Kind, n.Call.Name, n.Call.Iter)
 }
 
 // OccupiesGPU reports whether the node uses the given global GPU index.
@@ -98,17 +115,6 @@ type AugGraph struct {
 	Nodes []*AugNode
 }
 
-func (g *AugGraph) addNode(n *AugNode) *AugNode {
-	n.ID = len(g.Nodes)
-	g.Nodes = append(g.Nodes, n)
-	return n
-}
-
-func (g *AugGraph) addEdge(parent, child *AugNode) {
-	parent.Children = append(parent.Children, child.ID)
-	child.Parents = append(child.Parents, parent.ID)
-}
-
 // CallNode returns the augmented node wrapping the given dfg node.
 func (g *AugGraph) CallNode(d *dfg.Node) *AugNode {
 	for _, n := range g.Nodes {
@@ -122,11 +128,102 @@ func (g *AugGraph) CallNode(d *dfg.Node) *AugNode {
 // DataBytesPerToken approximates the per-token payload moved between calls:
 // token ids, log-probs, rewards/values — a few scalars per position. The
 // paper observes this traffic is negligible next to parameter reallocation,
-// which our cost model reproduces. Exported so the estimator's incremental
-// session can rebuild transfer nodes with byte-identical payload sizes.
+// which our cost model reproduces.
 const DataBytesPerToken = 8
 
-// BuildAugGraph expands the plan into its augmented dataflow graph:
+// BuildAugGraph validates the plan and expands it into its augmented
+// dataflow graph with a one-shot Builder (see Builder.Build for the
+// expansion rules).
+func (p *Plan) BuildAugGraph() (*AugGraph, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	b, err := NewBuilder(p.Graph)
+	if err != nil {
+		return nil, err
+	}
+	return b.Build(p)
+}
+
+// Builder expands plans over one dataflow graph into augmented graphs. It is
+// the only constructor of AugNodes. NewBuilder prepares the
+// assignment-independent topology once — topo order, parent lists and each
+// role's home call — and every Build rebuilds the nodes into a reused arena,
+// so a caller re-expanding many plans over the same graph (plan search)
+// allocates nothing per build once the arena has grown. A Builder is
+// single-goroutine state.
+type Builder struct {
+	graph    *dfg.Graph
+	topo     []*dfg.Node
+	parents  [][]*dfg.Node
+	homeCall map[dfg.Role]string
+
+	callIdx []int // dfg node ID -> ID of its call node
+	arena   []*AugNode
+	g       AugGraph
+}
+
+// NewBuilder prepares a builder for plans over graph g.
+func NewBuilder(g *dfg.Graph) (*Builder, error) {
+	topo, err := g.TopoSort()
+	if err != nil {
+		return nil, err
+	}
+	b := &Builder{
+		graph:    g,
+		topo:     topo,
+		parents:  make([][]*dfg.Node, len(g.Nodes)),
+		homeCall: make(map[dfg.Role]string, 4),
+		callIdx:  make([]int, len(g.Nodes)),
+		arena:    make([]*AugNode, 0, len(g.Nodes)),
+	}
+	for _, d := range g.Nodes {
+		b.parents[d.ID] = g.Parents(d)
+	}
+	// Home call per role, as Plan.HomeOf picks it on a fully assigned plan:
+	// the role's first Train-typed call in Nodes order, else its first call.
+	for _, train := range []bool{true, false} {
+		for _, d := range g.Nodes {
+			if _, ok := b.homeCall[d.Role]; !ok && (d.Type == dfg.Train || !train) {
+				b.homeCall[d.Role] = d.Name
+			}
+		}
+	}
+	return b, nil
+}
+
+// HomeCall returns the name of the call whose assignment is the role's home
+// (Plan.HomeOf), and whether the graph has a call of the role at all.
+func (b *Builder) HomeCall(role dfg.Role) (string, bool) {
+	name, ok := b.homeCall[role]
+	return name, ok
+}
+
+// node takes the next arena slot, recycling its slices.
+func (b *Builder) node(k Kind, call *dfg.Node) *AugNode {
+	id := len(b.g.Nodes)
+	if id == len(b.arena) {
+		b.arena = append(b.arena, &AugNode{})
+	}
+	n := b.arena[id]
+	*n = AugNode{
+		ID:       id,
+		Kind:     k,
+		Call:     call,
+		Meshes:   n.Meshes[:0],
+		Parents:  n.Parents[:0],
+		Children: n.Children[:0],
+	}
+	b.g.Nodes = b.arena[:id+1]
+	return n
+}
+
+func link(parent, child *AugNode) {
+	parent.Children = append(parent.Children, child.ID)
+	child.Parents = append(child.Parents, parent.ID)
+}
+
+// Build expands the plan into its augmented dataflow graph:
 //
 //   - every dfg node becomes a call node on its assigned mesh;
 //   - a KindParamRealloc node precedes any call whose assignment differs
@@ -137,103 +234,83 @@ const DataBytesPerToken = 8
 //     parameters from host memory (Assignment.Offload);
 //   - a KindDataTransfer node replaces each data edge whose endpoints have
 //     different assignments.
-func (p *Plan) BuildAugGraph() (*AugGraph, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
+//
+// Node IDs and edge order are a pure function of the plan, which keeps
+// Algorithm 1's heap tie-breaks — and so golden plans — stable. Build checks
+// only that every call is assigned and every role has a model; callers that
+// need per-call legality run Plan.Validate first. p.Graph must be the
+// builder's graph. The returned graph is owned by the builder and valid until
+// its next Build.
+func (b *Builder) Build(p *Plan) (*AugGraph, error) {
+	if p.Graph != b.graph {
+		return nil, fmt.Errorf("core: plan graph is not the builder's graph")
 	}
-	g := &AugGraph{Plan: p}
-	order, err := p.Graph.TopoSort()
-	if err != nil {
-		return nil, err
+	b.g = AugGraph{Plan: p, Nodes: b.arena[:0]}
+	for _, d := range b.topo {
+		a, ok := p.Assign[d.Name]
+		if !ok {
+			return nil, fmt.Errorf("core: call %q has no assignment", d.Name)
+		}
+		if _, ok := p.Models[d.Role]; !ok {
+			return nil, fmt.Errorf("core: no model spec for role %q", d.Role)
+		}
+		cn := b.node(KindCall, d)
+		cn.Role = d.Role
+		cn.Meshes = append(cn.Meshes, a.Mesh)
+		b.callIdx[d.ID] = cn.ID
 	}
 
-	callNodes := make(map[int]*AugNode, len(order))
-	for _, d := range order {
-		a := p.Assign[d.Name]
-		callNodes[d.ID] = g.addNode(&AugNode{
-			Kind:  KindCall,
-			Label: fmt.Sprintf("%s@%d", d.Name, d.Iter),
-			Call:  d,
-			Role:  d.Role,
-			Meshes: []mesh.Mesh{
-				a.Mesh,
-			},
-		})
-	}
-
-	for _, d := range order {
-		cn := callNodes[d.ID]
+	for _, d := range b.topo {
+		cn := b.arena[b.callIdx[d.ID]]
 		a := p.Assign[d.Name]
 		ms := p.Models[d.Role]
-		home, _ := p.HomeOf(d.Role)
+		home := p.Assign[b.homeCall[d.Role]]
 
-		// Parameter-version parents: same-role calls feeding this one.
-		var versionParents []*AugNode
-		for _, par := range p.Graph.Parents(d) {
-			if par.Role == d.Role {
-				versionParents = append(versionParents, callNodes[par.ID])
-			}
-		}
-
+		var move *AugNode
 		switch {
 		case a.Offload && !ms.Trainable:
 			// Reload weights from host memory onto the call mesh.
-			off := g.addNode(&AugNode{
-				Kind:   KindOffload,
-				Label:  fmt.Sprintf("offload:%s@%d", d.Name, d.Iter),
-				Role:   d.Role,
-				Meshes: []mesh.Mesh{a.Mesh},
-				Bytes:  memory.ParamShardBytes(ms.Params(), a.Strategy) * int64(a.Mesh.NumGPUs()),
-				Dst:    a,
-			})
-			for _, vp := range versionParents {
-				g.addEdge(vp, off)
-			}
-			g.addEdge(off, cn)
+			move = b.node(KindOffload, d)
+			move.Meshes = append(move.Meshes, a.Mesh)
+			move.Bytes = memory.ParamShardBytes(ms.Params(), a.Strategy) * int64(a.Mesh.NumGPUs())
 		case !a.Equal(home):
 			// Reallocate parameters home layout -> call layout.
-			re := g.addNode(&AugNode{
-				Kind:   KindParamRealloc,
-				Label:  fmt.Sprintf("realloc:%s@%d", d.Name, d.Iter),
-				Role:   d.Role,
-				Meshes: []mesh.Mesh{home.Mesh, a.Mesh},
-				Bytes:  ms.Params() * 2,
-				Src:    home,
-				Dst:    a,
-			})
-			for _, vp := range versionParents {
-				g.addEdge(vp, re)
+			move = b.node(KindParamRealloc, d)
+			move.Meshes = append(move.Meshes, home.Mesh, a.Mesh)
+			move.Bytes = ms.Params() * 2
+			move.Src = home
+		}
+		if move != nil {
+			move.Role, move.Dst = d.Role, a
+			// Parameter-version parents: same-role calls feeding this one.
+			for _, par := range b.parents[d.ID] {
+				if par.Role == d.Role {
+					link(b.arena[b.callIdx[par.ID]], move)
+				}
 			}
-			g.addEdge(re, cn)
+			link(move, cn)
 		}
 
 		// Data edges from parents.
-		for _, par := range p.Graph.Parents(d) {
-			pn := callNodes[par.ID]
+		for _, par := range b.parents[d.ID] {
+			pn := b.arena[b.callIdx[par.ID]]
 			pa := p.Assign[par.Name]
-			if par.Role == d.Role && par.Type == dfg.Train {
-				// Pure version dependency: the realloc/offload node (or the
-				// call itself) already waits on it.
-				g.addEdge(pn, cn)
+			if par.Role == d.Role && par.Type == dfg.Train || pa.Equal(a) {
+				// A pure version dependency (the realloc/offload node, or the
+				// call itself, already waits on it) or a co-located edge.
+				link(pn, cn)
 				continue
 			}
-			if pa.Equal(a) {
-				g.addEdge(pn, cn)
-				continue
-			}
-			xfer := g.addNode(&AugNode{
-				Kind:   KindDataTransfer,
-				Label:  fmt.Sprintf("xfer:%s->%s@%d", par.Name, d.Name, d.Iter),
-				Meshes: []mesh.Mesh{pa.Mesh, a.Mesh},
-				Bytes:  par.Work.TotalTokens() * DataBytesPerToken,
-				Src:    pa,
-				Dst:    a,
-			})
-			g.addEdge(pn, xfer)
-			g.addEdge(xfer, cn)
+			x := b.node(KindDataTransfer, d)
+			x.From = par
+			x.Meshes = append(x.Meshes, pa.Mesh, a.Mesh)
+			x.Bytes = par.Work.TotalTokens() * DataBytesPerToken
+			x.Src, x.Dst = pa, a
+			link(pn, x)
+			link(x, cn)
 		}
 	}
-	return g, nil
+	return &b.g, nil
 }
 
 // Sources returns augmented nodes with no parents.

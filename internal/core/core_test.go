@@ -84,7 +84,7 @@ func TestSymmetricPlanHasNoTransferNodes(t *testing.T) {
 	}
 	for _, n := range g.Nodes {
 		if n.Kind != KindCall {
-			t.Errorf("symmetric plan produced %v node %q", n.Kind, n.Label)
+			t.Errorf("symmetric plan produced %v node %q", n.Kind, n.Label())
 		}
 	}
 	if len(g.Nodes) != 12 {
@@ -149,7 +149,7 @@ func TestReallocGatedByVersionParent(t *testing.T) {
 	}
 	// The iteration-1 realloc must wait for iteration-0 ActorTrain.
 	for _, n := range g.Nodes {
-		if n.Kind != KindParamRealloc || !strings.Contains(n.Label, "@1") {
+		if n.Kind != KindParamRealloc || !strings.Contains(n.Label(), "@1") {
 			continue
 		}
 		found := false
@@ -160,7 +160,7 @@ func TestReallocGatedByVersionParent(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("realloc %q lacks version parent ActorTrain@0", n.Label)
+			t.Errorf("realloc %q lacks version parent ActorTrain@0", n.Label())
 		}
 	}
 }
@@ -211,8 +211,8 @@ func TestCloneIsolation(t *testing.T) {
 	if p.Assign["ActorGen"].Strategy.TP != 8 {
 		t.Error("mutating clone leaked into original")
 	}
-	if p.Signature() == q.Signature() {
-		t.Error("different assignments must yield different signatures")
+	if p.Fingerprint() == q.Fingerprint() {
+		t.Error("different assignments must yield different fingerprints")
 	}
 }
 
@@ -273,8 +273,8 @@ func TestFingerprintCanonical(t *testing.T) {
 }
 
 func TestFingerprintDistinguishesZeRO3(t *testing.T) {
-	// Signature historically dropped the ZeRO3 flag; the fingerprint used as
-	// the cost-cache key must not conflate a ZeRO-3 layout with plain DP.
+	// The fingerprint used as the cost-cache key must not conflate a ZeRO-3
+	// layout with plain DP.
 	a := ppoPlan(t, 2, 1)
 	b := a.Clone()
 	st := a.Assign["ActorTrain"].Strategy

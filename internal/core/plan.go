@@ -263,25 +263,10 @@ func (p *Plan) ApplyOffloadHints() {
 	}
 }
 
-// Signature returns a canonical string identifying the plan's assignments,
-// used by the search engine to deduplicate visited states.
-func (p *Plan) Signature() string {
-	names := p.CallNames()
-	sort.Strings(names)
-	var b strings.Builder
-	for _, name := range names {
-		a := p.Assign[name]
-		fmt.Fprintf(&b, "%s:%d+%d:%d/%d/%d/%d;", name,
-			a.Mesh.First, a.Mesh.Count,
-			a.Strategy.DP, a.Strategy.TP, a.Strategy.PP, a.Strategy.MicroBatches)
-	}
-	return b.String()
-}
-
 // appendFingerprint appends the assignment's canonical encoding: mesh
-// extent plus every strategy field, including ZeRO3 (which Signature
-// historically omitted — two baseline seeds differing only in ZeRO3 must
-// not collide in a memoization map).
+// extent plus every strategy field, including ZeRO3 (two baseline seeds
+// differing only in ZeRO3 must not collide in a memoization map), and the
+// offload flag.
 func (a Assignment) appendFingerprint(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(a.Mesh.First), 10)
 	b = append(b, '+')

@@ -145,7 +145,8 @@ type Result struct {
 	MaxMem int64
 	// OOM reports whether MaxMem exceeds device capacity.
 	OOM bool
-	// Cost is the search objective: TimeCost, ×OOMPenalty when infeasible.
+	// Cost is the search objective: TimeCost, ×OOMPenalty·overflow when
+	// infeasible.
 	Cost float64
 	// Timeline is the full simulated schedule.
 	Timeline []ScheduledNode
@@ -249,7 +250,7 @@ func (e *Estimator) EvaluateWith(p *core.Plan, dur DurationFunc) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	if err := e.validateMeshes(g); err != nil {
+	if err := e.checkMeshes(g.Nodes); err != nil {
 		return nil, err
 	}
 	durations := make([]float64, len(g.Nodes))
@@ -267,18 +268,11 @@ func (e *Estimator) EvaluateWith(p *core.Plan, dur DurationFunc) (*Result, error
 	res := &Result{
 		TimeCost:         makespan,
 		MaxMem:           maxMem,
-		OOM:              maxMem > e.HW.GPU.MemoryBytes,
 		Timeline:         timeline,
 		CallTimes:        map[string]float64{},
 		StaticBytesTotal: staticTotal,
 	}
-	res.Cost = res.TimeCost
-	if res.OOM {
-		// Scale the penalty by the overflow so the chain keeps a gradient
-		// towards feasibility even deep inside the infeasible region.
-		over := float64(res.MaxMem) / float64(e.HW.GPU.MemoryBytes)
-		res.Cost *= OOMPenalty * over
-	}
+	res.Cost, res.OOM = e.objective(makespan, maxMem)
 	for _, sn := range timeline {
 		if sn.Node.Kind == core.KindCall && sn.Node.Call.Iter == 0 {
 			res.CallTimes[sn.Node.Call.Name] = sn.Duration
@@ -287,17 +281,30 @@ func (e *Estimator) EvaluateWith(p *core.Plan, dur DurationFunc) (*Result, error
 	return res, nil
 }
 
-// validateMeshes rejects augmented graphs whose nodes occupy devices outside
-// the cluster. simulate indexes its per-device lanes by global GPU, so a
-// mesh extending past the cluster would otherwise cost nothing on the
-// missing devices and silently under-cost the plan.
-func (e *Estimator) validateMeshes(g *core.AugGraph) error {
+// objective is the search cost of a plan with the given makespan and peak
+// device memory: the makespan itself when the plan fits, else the makespan
+// scaled by OOMPenalty times the overflow ratio, so the chain keeps a
+// gradient towards feasibility even deep inside the infeasible region.
+func (e *Estimator) objective(timeCost float64, maxMem int64) (cost float64, oom bool) {
+	capacity := e.HW.GPU.MemoryBytes
+	if maxMem <= capacity {
+		return timeCost, false
+	}
+	return timeCost * (OOMPenalty * (float64(maxMem) / float64(capacity))), true
+}
+
+// checkMeshes rejects augmented-graph nodes that occupy devices outside the
+// estimator's cluster. The simulation indexes its per-device lanes by global
+// GPU, so a mesh extending past the cluster would otherwise cost nothing on
+// the missing devices and silently under-cost the plan. Plan.Validate only
+// bounds meshes by the plan's own cluster, which may be larger.
+func (e *Estimator) checkMeshes(nodes []*core.AugNode) error {
 	numGPUs := e.HW.NumGPUs()
-	for _, n := range g.Nodes {
+	for _, n := range nodes {
 		for _, m := range n.Meshes {
 			if m.First < 0 || m.First+m.Count > numGPUs {
 				return fmt.Errorf("estimator: node %q occupies GPUs [%d,%d) outside the %d-GPU cluster",
-					n.Label, m.First, m.First+m.Count, numGPUs)
+					n.Label(), m.First, m.First+m.Count, numGPUs)
 			}
 		}
 	}
@@ -510,20 +517,12 @@ func Throughput(p *core.Plan, timeCost float64) float64 {
 		return 0
 	}
 	var flops float64
-	iters := 0
 	for _, n := range p.Graph.Nodes {
-		if n.Iter+1 > iters {
-			iters = n.Iter + 1
-		}
 		spec, err := CallSpecOf(p, n)
 		if err != nil {
 			continue
 		}
 		flops += gpumodel.CallFLOPs(spec)
-	}
-	if iters > 0 {
-		// Report per-iteration throughput (time already spans all iters).
-		_ = iters
 	}
 	return flops / timeCost / 1e15
 }

@@ -125,7 +125,7 @@ func TestTimelineRespectsDependencies(t *testing.T) {
 		for _, pid := range sn.Node.Parents {
 			if sn.Start < endOf[pid]-1e-12 {
 				t.Fatalf("node %q starts at %.3f before parent ends at %.3f",
-					sn.Node.Label, sn.Start, endOf[pid])
+					sn.Node.Label(), sn.Start, endOf[pid])
 			}
 		}
 	}
@@ -160,7 +160,7 @@ func TestMeshExclusionInvariant(t *testing.T) {
 			}
 			if a.Start < b.End-1e-12 && b.Start < a.End-1e-12 && a.Duration > 0 && b.Duration > 0 {
 				t.Fatalf("nodes %q [%0.3f,%0.3f) and %q [%0.3f,%0.3f) share GPUs but overlap in time",
-					a.Node.Label, a.Start, a.End, b.Node.Label, b.Start, b.End)
+					a.Node.Label(), a.Start, a.End, b.Node.Label(), b.Start, b.End)
 			}
 		}
 	}
@@ -291,9 +291,10 @@ func TestEvaluateUnassignedPlanFails(t *testing.T) {
 
 // TestEvaluateRejectsMeshBeyondCluster: a plan whose meshes extend past the
 // *estimator's* cluster must surface an error instead of silently costing
-// nothing on the missing GPUs. (Plan.Validate catches meshes beyond the
-// plan's own cluster; the hole was a plan built for a larger cluster handed
-// to a smaller estimator — the old simulate clamp under-costed it.)
+// nothing on the missing GPUs — on the full path and on the incremental
+// session the solvers use. (Plan.Validate catches meshes beyond the plan's
+// own cluster; the hole was a plan built for a larger cluster handed to a
+// smaller estimator — the old simulate clamp under-costed it.)
 func TestEvaluateRejectsMeshBeyondCluster(t *testing.T) {
 	p := symmetricPlan(t, 2, model.LLaMA7B, model.LLaMA7B) // meshes span 16 GPUs
 	small := hardware.DefaultCluster(1)                    // estimator models 8
@@ -302,6 +303,11 @@ func TestEvaluateRejectsMeshBeyondCluster(t *testing.T) {
 		t.Fatal("mesh beyond the estimator's cluster must fail evaluation, not under-cost")
 	} else if !strings.Contains(err.Error(), "outside") {
 		t.Fatalf("want a mesh-bounds error, got: %v", err)
+	}
+	if pc, err := e.NewSession(nil).Evaluate(p); err == nil {
+		t.Fatalf("mesh beyond the estimator's cluster must fail session evaluation, got %+v", pc)
+	} else if !strings.Contains(err.Error(), "outside") {
+		t.Fatalf("want a session mesh-bounds error, got: %v", err)
 	}
 }
 
@@ -413,7 +419,7 @@ func TestOverlapKeepsMeshExclusionWithinStream(t *testing.T) {
 			if comm[i].start < comm[j].end-1e-12 && comm[j].start < comm[i].end-1e-12 {
 				if comm[i].end-comm[i].start > 0 && comm[j].end-comm[j].start > 0 {
 					t.Errorf("comm nodes %q and %q overlap in time on a shared device",
-						comm[i].n.Label, comm[j].n.Label)
+						comm[i].n.Label(), comm[j].n.Label())
 				}
 			}
 		}

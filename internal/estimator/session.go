@@ -1,8 +1,6 @@
 package estimator
 
 import (
-	"fmt"
-
 	"realhf/internal/core"
 	"realhf/internal/dfg"
 	"realhf/internal/memory"
@@ -130,12 +128,9 @@ type activeKey struct {
 // Estimator.Evaluate — TimeCost, MaxMem, OOM and Cost are bit-identical —
 // but re-uses everything a single-call mutation cannot have changed:
 //
-//   - the dataflow topology (topo order, parents, home calls) is prepared
-//     once per graph;
-//   - the augmented graph is rebuilt into a node arena with the exact
-//     construction order of core.BuildAugGraph (so Algorithm 1's heap
-//     tie-breaks, and therefore golden plans, are unchanged) without
-//     allocating nodes, labels or edge slices;
+//   - the augmented graph is rebuilt in place by a core.Builder prepared
+//     once per dataflow graph: the same construction core.BuildAugGraph
+//     runs, into a reused node arena;
 //   - node durations and per-role memory terms are memoized in session-local
 //     maps keyed by value types, so a proposal that moves one RPC only
 //     recosts the mutated call and its induced realloc/transfer neighbors;
@@ -149,26 +144,21 @@ type activeKey struct {
 // Contract: evaluated plans must assign every call an individually legal
 // (mesh, strategy) — the solver candidate sets guarantee this — because the
 // session skips the per-node Plan.Validate that full Evaluate re-runs on
-// every proposal. Mesh/cluster bounds are still checked, since the simulation
-// indexes per-device lanes. Callers outside the solver loop (warm starts,
+// every proposal. Mesh bounds are still checked against the estimator's
+// cluster, exactly as Evaluate checks them, since the simulation indexes
+// per-device lanes. Callers outside the solver loop (warm starts,
 // caller-provided seeds) must Plan.Validate first.
 type EvalSession struct {
 	e        *Estimator
 	fallback DurationFunc
 
-	// Prepared topology, fixed for one dataflow graph.
+	// Prepared once per dataflow graph: the builder that rebuilds the
+	// augmented graph in place, plus the memory pass's per-role call lists
+	// and the first node of each distinct call name (its dedup order).
 	graph       *dfg.Graph
-	topo        []*dfg.Node
-	parents     [][]*dfg.Node
-	homeCall    map[dfg.Role]string
+	builder     *core.Builder
 	roleCalls   map[dfg.Role][]string
 	firstByName []*dfg.Node
-	numGPUs     int
-
-	// Augmented-graph arena, rebuilt in place per Evaluate.
-	arena   []*core.AugNode
-	used    int
-	callIdx []int // dfg node ID -> arena index of its call node
 
 	durations []float64
 	sim       simScratch
@@ -230,10 +220,14 @@ func (s *EvalSession) Evaluate(p *core.Plan) (PlanCost, error) {
 	if err := s.prepare(p); err != nil {
 		return PlanCost{}, err
 	}
-	if err := s.build(p); err != nil {
+	g, err := s.builder.Build(p)
+	if err != nil {
 		return PlanCost{}, err
 	}
-	nodes := s.arena[:s.used]
+	if err := s.e.checkMeshes(g.Nodes); err != nil {
+		return PlanCost{}, err
+	}
+	nodes := g.Nodes
 	s.durations = growFloats(s.durations, len(nodes))
 	for len(s.sigs) < len(nodes) {
 		s.sigs = append(s.sigs, nodeSig{})
@@ -254,52 +248,25 @@ func (s *EvalSession) Evaluate(p *core.Plan) (PlanCost, error) {
 		s.durations[i] = d
 		s.sigs[i], s.sigDur[i], s.sigFilled[i] = sig, d, true
 	}
-	makespan := s.sim.run(nodes, s.durations, s.numGPUs, s.e.OverlapComm, nil)
-	maxMem := s.maxMem(p)
-	pc := PlanCost{TimeCost: makespan, MaxMem: maxMem, OOM: maxMem > s.e.HW.GPU.MemoryBytes}
-	pc.Cost = pc.TimeCost
-	if pc.OOM {
-		// Same overflow-scaled penalty as Evaluate: the chain keeps a
-		// gradient towards feasibility deep inside the infeasible region.
-		over := float64(pc.MaxMem) / float64(s.e.HW.GPU.MemoryBytes)
-		pc.Cost *= OOMPenalty * over
-	}
+	makespan := s.sim.run(nodes, s.durations, s.e.HW.NumGPUs(), s.e.OverlapComm, nil)
+	pc := PlanCost{TimeCost: makespan, MaxMem: s.maxMem(p)}
+	pc.Cost, pc.OOM = s.e.objective(pc.TimeCost, pc.MaxMem)
 	s.stats.Evals++
 	return pc, nil
 }
 
-// prepare (re)binds the session to the plan's dataflow graph, precomputing
-// everything assignment-independent: topo order, parent lists (Graph.Parents
-// allocates per call), the name of each role's home call, and the first node
-// of each distinct call name (the memory pass's dedup order).
+// prepare (re)binds the session to the plan's dataflow graph: a fresh
+// augmented-graph builder, and the memory pass's per-role call lists and
+// first node of each distinct call name.
 func (s *EvalSession) prepare(p *core.Plan) error {
 	if s.graph == p.Graph {
 		return nil
 	}
-	topo, err := p.Graph.TopoSort()
+	b, err := core.NewBuilder(p.Graph)
 	if err != nil {
 		return err
 	}
-	s.graph = p.Graph
-	s.topo = topo
-	s.numGPUs = p.Cluster.NumGPUs()
-	s.parents = make([][]*dfg.Node, len(p.Graph.Nodes))
-	for _, d := range p.Graph.Nodes {
-		s.parents[d.ID] = p.Graph.Parents(d)
-	}
-	// Home call per role, mirroring Plan.HomeOf on fully-assigned plans: the
-	// role's first Train-typed call in Nodes order, else its first call.
-	s.homeCall = make(map[dfg.Role]string, 4)
-	homeTrain := make(map[dfg.Role]bool, 4)
-	for _, n := range p.Graph.Nodes {
-		if _, ok := s.homeCall[n.Role]; !ok {
-			s.homeCall[n.Role] = n.Name
-			homeTrain[n.Role] = n.Type == dfg.Train
-		} else if !homeTrain[n.Role] && n.Type == dfg.Train {
-			s.homeCall[n.Role] = n.Name
-			homeTrain[n.Role] = true
-		}
-	}
+	s.graph, s.builder = p.Graph, b
 	s.firstByName = s.firstByName[:0]
 	seen := make(map[string]bool, len(p.Graph.Nodes))
 	s.roleCalls = make(map[dfg.Role][]string, 4)
@@ -311,9 +278,6 @@ func (s *EvalSession) prepare(p *core.Plan) error {
 		}
 	}
 	s.activeSig = make([]activeSigEntry, len(s.firstByName))
-	if len(s.callIdx) < len(p.Graph.Nodes) {
-		s.callIdx = make([]int, len(p.Graph.Nodes))
-	}
 	// The memos key on (name, assignment) and (role, home) — both fixed by
 	// the graph+models pair — so a graph change must drop them, along with
 	// the per-slot signature fast path.
@@ -323,116 +287,6 @@ func (s *EvalSession) prepare(p *core.Plan) error {
 	clear(s.activeMem)
 	for i := range s.sigFilled {
 		s.sigFilled[i] = false
-	}
-	return nil
-}
-
-// node takes the next arena slot, recycling its slices.
-func (s *EvalSession) node(k core.Kind) *core.AugNode {
-	if s.used == len(s.arena) {
-		s.arena = append(s.arena, &core.AugNode{})
-	}
-	n := s.arena[s.used]
-	*n = core.AugNode{
-		ID:       s.used,
-		Kind:     k,
-		Meshes:   n.Meshes[:0],
-		Parents:  n.Parents[:0],
-		Children: n.Children[:0],
-	}
-	s.used++
-	return n
-}
-
-func (s *EvalSession) edge(parent, child *core.AugNode) {
-	parent.Children = append(parent.Children, child.ID)
-	child.Parents = append(child.Parents, parent.ID)
-}
-
-// build expands the plan into the arena, replicating core.BuildAugGraph's
-// construction order exactly (node IDs, edge order) minus labels and the
-// per-node strategy validation the session contract waives.
-func (s *EvalSession) build(p *core.Plan) error {
-	s.used = 0
-	for _, d := range s.topo {
-		a, ok := p.Assign[d.Name]
-		if !ok {
-			return fmt.Errorf("estimator: call %q unassigned", d.Name)
-		}
-		if _, ok := p.Models[d.Role]; !ok {
-			return fmt.Errorf("estimator: role %q has no model", d.Role)
-		}
-		cn := s.node(core.KindCall)
-		cn.Call, cn.Role = d, d.Role
-		cn.Meshes = append(cn.Meshes, a.Mesh)
-		s.callIdx[d.ID] = cn.ID
-	}
-
-	for _, d := range s.topo {
-		cn := s.arena[s.callIdx[d.ID]]
-		a := p.Assign[d.Name]
-		ms := p.Models[d.Role]
-		home := p.Assign[s.homeCall[d.Role]]
-
-		switch {
-		case a.Offload && !ms.Trainable:
-			off := s.node(core.KindOffload)
-			off.Role = d.Role
-			off.Meshes = append(off.Meshes, a.Mesh)
-			off.Bytes = memory.ParamShardBytes(ms.Params(), a.Strategy) * int64(a.Mesh.NumGPUs())
-			off.Dst = a
-			for _, par := range s.parents[d.ID] {
-				if par.Role == d.Role {
-					s.edge(s.arena[s.callIdx[par.ID]], off)
-				}
-			}
-			s.edge(off, cn)
-		case !a.Equal(home):
-			re := s.node(core.KindParamRealloc)
-			re.Role = d.Role
-			re.Meshes = append(re.Meshes, home.Mesh, a.Mesh)
-			re.Bytes = ms.Params() * 2
-			re.Src, re.Dst = home, a
-			for _, par := range s.parents[d.ID] {
-				if par.Role == d.Role {
-					s.edge(s.arena[s.callIdx[par.ID]], re)
-				}
-			}
-			s.edge(re, cn)
-		}
-
-		for _, par := range s.parents[d.ID] {
-			pn := s.arena[s.callIdx[par.ID]]
-			pa := p.Assign[par.Name]
-			if par.Role == d.Role && par.Type == dfg.Train {
-				// Pure version dependency: the realloc/offload node (or the
-				// call itself) already waits on it.
-				s.edge(pn, cn)
-				continue
-			}
-			if pa.Equal(a) {
-				s.edge(pn, cn)
-				continue
-			}
-			x := s.node(core.KindDataTransfer)
-			x.Meshes = append(x.Meshes, pa.Mesh, a.Mesh)
-			x.Bytes = par.Work.TotalTokens() * core.DataBytesPerToken
-			x.Src, x.Dst = pa, a
-			s.edge(pn, x)
-			s.edge(x, cn)
-		}
-	}
-
-	// Same guard as Estimator.validateMeshes: the simulation indexes
-	// per-device lanes by global GPU, so out-of-cluster meshes must error
-	// rather than silently under-cost.
-	for _, n := range s.arena[:s.used] {
-		for _, m := range n.Meshes {
-			if m.First < 0 || m.First+m.Count > s.numGPUs {
-				return fmt.Errorf("estimator: %s node occupies GPUs [%d,%d) outside the %d-GPU cluster",
-					n.Kind, m.First, m.First+m.Count, s.numGPUs)
-			}
-		}
 	}
 	return nil
 }
@@ -504,9 +358,11 @@ func (s *EvalSession) roleOffloaded(p *core.Plan, role dfg.Role) bool {
 }
 
 // maxMem computes MaxMem(Gp) with the same arithmetic as Estimator.memory,
-// memoizing the per-role static footprint and per-call active footprint.
+// memoizing the per-role static footprint and per-call active footprint. It
+// spans the estimator's cluster: every mesh was bounds-checked against it,
+// and devices no call occupies add nothing to the maximum.
 func (s *EvalSession) maxMem(p *core.Plan) int64 {
-	n := s.numGPUs
+	n := s.e.HW.NumGPUs()
 	if cap(s.static) < n {
 		s.static = make([]int64, n)
 		s.peak = make([]int64, n)
@@ -517,7 +373,7 @@ func (s *EvalSession) maxMem(p *core.Plan) int64 {
 	}
 
 	for role, ms := range p.Models {
-		homeName, ok := s.homeCall[role]
+		homeName, ok := s.builder.HomeCall(role)
 		if !ok {
 			continue // role not in the graph, as HomeOf reports
 		}
@@ -540,7 +396,8 @@ func (s *EvalSession) maxMem(p *core.Plan) int64 {
 
 	for i, node := range s.firstByName {
 		a := p.Assign[node.Name]
-		home := p.Assign[s.homeCall[node.Role]]
+		homeName, _ := s.builder.HomeCall(node.Role)
+		home := p.Assign[homeName]
 		sg := &s.activeSig[i]
 		var act int64
 		if sg.ok && sg.a == a && sg.home == home {

@@ -231,15 +231,38 @@ func commCost(src, dst, gpusPerNode int) int {
 	}
 }
 
+// cell is one matched chunk of a redistribution walk: the destinations of
+// tensor chunk [cLo, cHi)/den of layers [lo, hi) have each picked a source
+// (the matching sits in the walk's pairScratch), local of them already hold
+// the pieceBytes-sized piece.
+type cell struct {
+	pieceBytes            int64
+	local                 int
+	lo, hi, cLo, cHi, den int
+}
+
 // PlanParams builds the broadcast schedule that rematerializes a model of
 // `layers` layers (layerBytes bf16 bytes each) from layout src to layout dst
 // (paper Fig. 6).
 func PlanParams(layers int, layerBytes int64, src, dst core.Assignment, gpusPerNode int) Schedule {
 	var sched Schedule
 	var scratch pairScratch
-	ss, ds := src.Strategy, dst.Strategy
+	walkParams(&scratch, layers, layerBytes, src, dst, gpusPerNode, func(c cell) {
+		sched.LocalBytes += int64(c.local) * c.pieceBytes
+		scratch.emitOps(&sched, c.pieceBytes, c.lo, c.hi, c.cLo, c.cHi, c.den)
+	})
+	return sched
+}
 
-	// Outer loop: pipeline stage pairs with intersecting layer ranges.
+// walkParams is the parameter-reallocation matching shared by PlanParams and
+// ParamsCost. The outer loops visit pipeline stage pairs with intersecting
+// layer ranges; the inner loops remap the (dp×tp) grid of source stage i
+// onto destination stage j for their common layers. For every (source tp
+// rank, destination tp rank) pair with overlapping tensor chunks, each
+// destination GPU picks its cheapest source replica, and visit receives the
+// matched cell (destinations sharing a source make one broadcast).
+func walkParams(scratch *pairScratch, layers int, layerBytes int64, src, dst core.Assignment, gpusPerNode int, visit func(cell)) {
+	ss, ds := src.Strategy, dst.Strategy
 	for j := 0; j < ds.PP; j++ {
 		dLo, dHi := StageLayers(layers, ds, j)
 		if dLo >= dHi {
@@ -251,35 +274,24 @@ func PlanParams(layers int, layerBytes int64, src, dst core.Assignment, gpusPerN
 			if lo >= hi {
 				continue
 			}
-			planStagePair(&sched, &scratch, src, dst, i, j, lo, hi, layerBytes, gpusPerNode)
-		}
-	}
-	return sched
-}
-
-// planStagePair is the inner loop: remap the (dp×tp) grid of source stage i
-// onto destination stage j for the common layers [lo, hi).
-func planStagePair(sched *Schedule, scratch *pairScratch, src, dst core.Assignment, i, j, lo, hi int, layerBytes int64, gpusPerNode int) {
-	ss, ds := src.Strategy, dst.Strategy
-	den := lcm(ss.TP, ds.TP)
-	sw := den / ss.TP // sub-chunks per source partition
-	dw := den / ds.TP // sub-chunks per destination partition
-	bytesPerChunk := int64(hi-lo) * layerBytes / int64(den)
-
-	// For every (source tp rank, destination tp rank) pair with overlapping
-	// tensor chunks, each destination GPU picks its cheapest source replica;
-	// destinations sharing a chosen source coalesce into one broadcast.
-	for dtp := 0; dtp < ds.TP; dtp++ {
-		dChunkLo, dChunkHi := dtp*dw, (dtp+1)*dw
-		for stp := 0; stp < ss.TP; stp++ {
-			cLo, cHi := maxInt(dChunkLo, stp*sw), minInt(dChunkHi, (stp+1)*sw)
-			if cLo >= cHi {
-				continue
+			den := lcm(ss.TP, ds.TP)
+			sw := den / ss.TP // sub-chunks per source partition
+			dw := den / ds.TP // sub-chunks per destination partition
+			bytesPerChunk := int64(hi-lo) * layerBytes / int64(den)
+			for dtp := 0; dtp < ds.TP; dtp++ {
+				dChunkLo, dChunkHi := dtp*dw, (dtp+1)*dw
+				for stp := 0; stp < ss.TP; stp++ {
+					cLo, cHi := maxInt(dChunkLo, stp*sw), minInt(dChunkHi, (stp+1)*sw)
+					if cLo >= cHi {
+						continue
+					}
+					visit(cell{
+						pieceBytes: bytesPerChunk * int64(cHi-cLo),
+						local:      matchParamsCell(scratch, src, dst, i, j, stp, dtp, gpusPerNode),
+						lo:         lo, hi: hi, cLo: cLo, cHi: cHi, den: den,
+					})
+				}
 			}
-			pieceBytes := bytesPerChunk * int64(cHi-cLo)
-			local := matchParamsCell(scratch, src, dst, i, j, stp, dtp, gpusPerNode)
-			sched.LocalBytes += int64(local) * pieceBytes
-			scratch.emitOps(sched, pieceBytes, lo, hi, cLo, cHi, den)
 		}
 	}
 }
@@ -309,12 +321,22 @@ func matchParamsCell(scratch *pairScratch, src, dst core.Assignment, i, j, stp, 
 func PlanData(totalBytes int64, src, dst core.Assignment, gpusPerNode int) Schedule {
 	var sched Schedule
 	var scratch pairScratch
+	walkData(&scratch, totalBytes, src, dst, gpusPerNode, func(c cell) {
+		sched.LocalBytes += int64(c.local) * c.pieceBytes
+		scratch.emitOps(&sched, c.pieceBytes, 0, 0, c.cLo, c.cHi, c.den)
+	})
+	return sched
+}
+
+// walkData is the data-transfer matching shared by PlanData and DataCost:
+// for every (source dp rank, destination dp rank) pair with overlapping
+// chunks, visit receives the matched cell.
+func walkData(scratch *pairScratch, totalBytes int64, src, dst core.Assignment, gpusPerNode int, visit func(cell)) {
 	ss, ds := src.Strategy, dst.Strategy
 	den := lcm(ss.DP, ds.DP)
 	sw := den / ss.DP
 	dw := den / ds.DP
 	bytesPerChunk := totalBytes / int64(den)
-
 	for ddp := 0; ddp < ds.DP; ddp++ {
 		dChunkLo, dChunkHi := ddp*dw, (ddp+1)*dw
 		for sdp := 0; sdp < ss.DP; sdp++ {
@@ -322,13 +344,13 @@ func PlanData(totalBytes int64, src, dst core.Assignment, gpusPerNode int) Sched
 			if cLo >= cHi {
 				continue
 			}
-			pieceBytes := bytesPerChunk * int64(cHi-cLo)
-			local := matchDataCell(&scratch, src, dst, sdp, ddp, gpusPerNode)
-			sched.LocalBytes += int64(local) * pieceBytes
-			scratch.emitOps(&sched, pieceBytes, 0, 0, cLo, cHi, den)
+			visit(cell{
+				pieceBytes: bytesPerChunk * int64(cHi-cLo),
+				local:      matchDataCell(scratch, src, dst, sdp, ddp, gpusPerNode),
+				cLo:        cLo, cHi: cHi, den: den,
+			})
 		}
 	}
-	return sched
 }
 
 // matchDataCell fills scratch with one (sdp, ddp) cell's matching for a
@@ -378,44 +400,17 @@ func maxBusy(busy []float64) float64 {
 }
 
 // ParamsCost returns PlanParams(...).Cost(hw) without materializing the
-// schedule: it runs the same stage-pair matching and charges each broadcast
-// to per-GPU busy time directly (identical arithmetic in identical order,
-// so the result is bit-equal). The estimator costs every candidate
+// schedule: it runs PlanParams' walker and charges each cell's broadcasts to
+// per-GPU busy time directly (identical arithmetic in identical order, so
+// the result is bit-equal). The estimator costs every candidate
 // reallocation this way; the op list is only built when a schedule is
 // actually executed or inspected.
 func ParamsCost(cs *CostScratch, layers int, layerBytes int64, src, dst core.Assignment, hw hardware.Cluster) float64 {
 	cs.resetBusy(hw.NumGPUs())
 	comm := gpumodel.Comm{HW: hw}
-	ss, ds := src.Strategy, dst.Strategy
-	for j := 0; j < ds.PP; j++ {
-		dLo, dHi := StageLayers(layers, ds, j)
-		if dLo >= dHi {
-			continue
-		}
-		for i := 0; i < ss.PP; i++ {
-			sLo, sHi := StageLayers(layers, ss, i)
-			lo, hi := maxInt(dLo, sLo), minInt(dHi, sHi)
-			if lo >= hi {
-				continue
-			}
-			den := lcm(ss.TP, ds.TP)
-			sw := den / ss.TP
-			dw := den / ds.TP
-			bytesPerChunk := int64(hi-lo) * layerBytes / int64(den)
-			for dtp := 0; dtp < ds.TP; dtp++ {
-				dChunkLo, dChunkHi := dtp*dw, (dtp+1)*dw
-				for stp := 0; stp < ss.TP; stp++ {
-					cLo, cHi := maxInt(dChunkLo, stp*sw), minInt(dChunkHi, (stp+1)*sw)
-					if cLo >= cHi {
-						continue
-					}
-					pieceBytes := bytesPerChunk * int64(cHi-cLo)
-					matchParamsCell(&cs.pair, src, dst, i, j, stp, dtp, hw.GPUsPerNode)
-					cs.pair.accumBusy(cs.busy, comm, pieceBytes, hw.GPUsPerNode)
-				}
-			}
-		}
-	}
+	walkParams(&cs.pair, layers, layerBytes, src, dst, hw.GPUsPerNode, func(c cell) {
+		cs.pair.accumBusy(cs.busy, comm, c.pieceBytes, hw.GPUsPerNode)
+	})
 	return maxBusy(cs.busy)
 }
 
@@ -424,23 +419,9 @@ func ParamsCost(cs *CostScratch, layers int, layerBytes int64, src, dst core.Ass
 func DataCost(cs *CostScratch, totalBytes int64, src, dst core.Assignment, hw hardware.Cluster) float64 {
 	cs.resetBusy(hw.NumGPUs())
 	comm := gpumodel.Comm{HW: hw}
-	ss, ds := src.Strategy, dst.Strategy
-	den := lcm(ss.DP, ds.DP)
-	sw := den / ss.DP
-	dw := den / ds.DP
-	bytesPerChunk := totalBytes / int64(den)
-	for ddp := 0; ddp < ds.DP; ddp++ {
-		dChunkLo, dChunkHi := ddp*dw, (ddp+1)*dw
-		for sdp := 0; sdp < ss.DP; sdp++ {
-			cLo, cHi := maxInt(dChunkLo, sdp*sw), minInt(dChunkHi, (sdp+1)*sw)
-			if cLo >= cHi {
-				continue
-			}
-			pieceBytes := bytesPerChunk * int64(cHi-cLo)
-			matchDataCell(&cs.pair, src, dst, sdp, ddp, hw.GPUsPerNode)
-			cs.pair.accumBusy(cs.busy, comm, pieceBytes, hw.GPUsPerNode)
-		}
-	}
+	walkData(&cs.pair, totalBytes, src, dst, hw.GPUsPerNode, func(c cell) {
+		cs.pair.accumBusy(cs.busy, comm, c.pieceBytes, hw.GPUsPerNode)
+	})
 	return maxBusy(cs.busy)
 }
 

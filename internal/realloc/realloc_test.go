@@ -303,6 +303,22 @@ func TestCostOnlyPlannersMatchSchedules(t *testing.T) {
 	}
 }
 
+// The cost-only planners keep the estimator's node-costing hot path
+// allocation-free once their scratch has grown.
+func TestCostOnlyPlannersDoNotAllocate(t *testing.T) {
+	src := asgn(t, 0, 16, 8, parallel.Strategy{DP: 2, TP: 4, PP: 2, MicroBatches: 1})
+	dst := asgn(t, 8, 8, 8, parallel.Strategy{DP: 2, TP: 2, PP: 2, MicroBatches: 1})
+	hw := hardware.DefaultCluster(2)
+	var cs CostScratch
+	allocs := testing.AllocsPerRun(20, func() {
+		ParamsCost(&cs, 32, 1<<20, src, dst, hw)
+		DataCost(&cs, 1<<24, dst, src, hw)
+	})
+	if allocs != 0 {
+		t.Errorf("ParamsCost+DataCost allocate %v times per run, want 0", allocs)
+	}
+}
+
 // Property: redistribution coverage holds for random legal layout pairs on
 // a 2-node cluster.
 func TestPlanParamsCoverageProperty(t *testing.T) {

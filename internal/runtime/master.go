@@ -166,6 +166,8 @@ func RunOverlapped(p *core.Plan) (*Report, error) {
 // nodeWork is the master's precomputed knowledge about one augmented node.
 type nodeWork struct {
 	node *core.AugNode
+	// label is node.Label(), rendered once for every dispatch and span.
+	label string
 	// gpus are the devices the node occupies (deduplicated, sorted).
 	gpus []int
 	// durByGPU gives each device's busy time; nil means uniform `dur`.
@@ -179,7 +181,7 @@ type nodeWork struct {
 func (m *Master) prepare(g *core.AugGraph) ([]nodeWork, error) {
 	works := make([]nodeWork, len(g.Nodes))
 	for _, n := range g.Nodes {
-		w := nodeWork{node: n}
+		w := nodeWork{node: n, label: n.Label()}
 		set := map[int]bool{}
 		for _, ms := range n.Meshes {
 			for _, gpu := range ms.GPUs() {
@@ -366,7 +368,7 @@ func (m *Master) Run() (*Report, error) {
 			}
 			req := Request{
 				ID: id, Kind: ReqRunCall, NodeID: id, Stream: s,
-				Label: w.node.Label, Handle: string(w.node.Role),
+				Label: w.label, Handle: string(w.node.Role),
 				ReadyV: readyV[id], DurV: dur, AllocBytes: w.alloc,
 			}
 			if w.node.Kind != core.KindCall {
@@ -374,7 +376,7 @@ func (m *Master) Run() (*Report, error) {
 				req.AllocBytes = 0
 			}
 			if err := transport.Send(gpu, req); err != nil {
-				return fmt.Errorf("runtime: dispatch %q to gpu %d: %w", w.node.Label, gpu, err)
+				return fmt.Errorf("runtime: dispatch %q to gpu %d: %w", w.label, gpu, err)
 			}
 			owedByGPU[gpu]++
 		}
@@ -444,7 +446,7 @@ func (m *Master) Run() (*Report, error) {
 			}
 			w := works[n.ID]
 			report.Timeline = append(report.Timeline, NodeSpan{
-				Label: n.Label, Kind: n.Kind, Stream: streamFor(n.Kind),
+				Label: w.label, Kind: n.Kind, Stream: streamFor(n.Kind),
 				Lane: w.gpus[0], StartV: startV[n.ID], EndV: endV[n.ID],
 			})
 			if endV[n.ID] > report.MakespanV {

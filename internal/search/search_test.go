@@ -75,7 +75,7 @@ func TestSearchDeterministicWithSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Cost != b.Cost || a.Plan.Signature() != b.Plan.Signature() {
+	if a.Cost != b.Cost || a.Plan.Fingerprint() != b.Plan.Fingerprint() {
 		t.Error("same seed must reproduce the same search outcome")
 	}
 }
