@@ -290,7 +290,7 @@ func BenchmarkSearchThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pr.SearchPlan(500, int64(i)); err != nil {
+		if _, _, err := pr.SearchPlan(500, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -317,13 +317,13 @@ func BenchmarkParallelMCMCWallClock(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		single, err := pr.SolveWith("mcmc", search.Options{
+		single, _, err := pr.Solve(false, "mcmc", search.Options{
 			TimeLimit: limit, Seed: int64(i + 1),
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		multi, err := pr.SolveWith("parallel-mcmc", search.Options{
+		multi, multiSt, err := pr.Solve(false, "parallel-mcmc", search.Options{
 			TimeLimit: limit, Seed: int64(i + 1), Chains: chains,
 		})
 		if err != nil {
@@ -332,7 +332,7 @@ func BenchmarkParallelMCMCWallClock(b *testing.B) {
 		b.ReportMetric(single.Cost, "single-chain-cost-s")
 		b.ReportMetric(multi.Cost, "parallel-cost-s")
 		b.ReportMetric(single.Cost/multi.Cost, "parallel-speedup-x")
-		b.ReportMetric(multi.CacheHitRate()*100, "cache-hit-%")
+		b.ReportMetric(multiSt.CacheHitRate()*100, "cache-hit-%")
 	}
 }
 
@@ -351,11 +351,11 @@ func BenchmarkOverlapAwareSearch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		serial, err := pr.SearchPlanFor(false, benchSteps, 1)
+		serial, _, err := pr.SearchPlan(benchSteps, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		over, err := pr.SearchPlanOverlapWarm(benchSteps, 1, serial.Plan)
+		over, _, err := pr.SearchPlanOverlapWarm(benchSteps, 1, serial.Plan)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -389,11 +389,11 @@ func BenchmarkOffloadSearch(b *testing.B) {
 	const offloadBenchSteps = 400
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		def, err := pr.SolveWith("mcmc", search.Options{MaxSteps: offloadBenchSteps, Seed: 60})
+		def, _, err := pr.Solve(false, "mcmc", search.Options{MaxSteps: offloadBenchSteps, Seed: 60})
 		if err != nil {
 			b.Fatal(err)
 		}
-		off, err := pr.SolveWith("mcmc", search.Options{
+		off, _, err := pr.Solve(false, "mcmc", search.Options{
 			MaxSteps: offloadBenchSteps, Seed: 60, OffloadSearch: true,
 		})
 		if err != nil {
@@ -697,8 +697,8 @@ func BenchmarkRuntimeOverlap(b *testing.B) {
 	}
 }
 
-// BenchmarkGreedySeed measures greedy seed-plan construction over the full
-// candidate space.
+// BenchmarkGreedySeed measures the greedy solver: seed-plan construction
+// over the full candidate space plus one evaluation of the seed.
 func BenchmarkGreedySeed(b *testing.B) {
 	b.ReportAllocs()
 	s := experiments.PaperSetting(2, model.LLaMA7B, model.LLaMA7B)
@@ -708,7 +708,8 @@ func BenchmarkGreedySeed(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := search.Greedy(pr.Est, pr.EmptyPlan(), search.PruneNone); err != nil {
+		if _, _, err := search.Solve(context.Background(), "greedy",
+			search.Problem{Est: pr.Est, Plan: pr.EmptyPlan()}, search.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,7 +3,8 @@
 // runtime engine's virtual timings (serialized and overlapped) for those
 // plans and for a fixed reallocation-heavy placement. A second section pins
 // the same solves under the overlap-aware cost semantics
-// (search.Problem.Overlap), so both search objectives are regression-gated.
+// (estimator.Estimator.OverlapComm), so both search objectives are
+// regression-gated.
 //
 // The file is a committed artifact. CI re-runs this tool and fails via
 // `git diff --exit-code` if any fingerprint or virtual timing changed —
@@ -146,7 +147,9 @@ func main() {
 
 	for _, seed := range []int64{1, 7, 42} {
 		plan, est := goldenProblem()
-		res, err := search.Search(est, plan, search.Options{MaxSteps: *steps, Seed: seed})
+		res, _, err := search.Solve(context.Background(), "mcmc",
+			search.Problem{Est: est, Plan: plan},
+			search.Options{MaxSteps: *steps, Seed: seed})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -170,13 +173,15 @@ func main() {
 
 	// Overlap-aware section: the same seeds solved with candidates scored
 	// under the overlapped-engine semantics (estimator.Estimator.OverlapComm
-	// via search.Problem.Overlap). The serialized section above must stay
-	// byte-identical — the knob defaults off.
+	// on a copy of the problem's estimator). The serialized section above
+	// must stay byte-identical — the knob defaults off.
 	b.WriteString("# Overlap-aware search (candidates costed with estimator OverlapComm).\n")
 	for _, seed := range []int64{1, 7, 42} {
 		plan, est := goldenProblem()
-		res, err := search.Solve(context.Background(), "mcmc",
-			search.Problem{Est: est, Plan: plan, Overlap: true},
+		over := *est
+		over.OverlapComm = true
+		res, _, err := search.Solve(context.Background(), "mcmc",
+			search.Problem{Est: &over, Plan: plan},
 			search.Options{MaxSteps: *steps, Seed: seed})
 		if err != nil {
 			log.Fatal(err)
@@ -197,7 +202,7 @@ func main() {
 	b.WriteString("# Offload-aware search (host offload searched per call, memory as a hard constraint).\n")
 	for _, seed := range []int64{1, 7, 42} {
 		plan, est := offloadProblem()
-		res, err := search.Solve(context.Background(), "mcmc",
+		res, _, err := search.Solve(context.Background(), "mcmc",
 			search.Problem{Est: est, Plan: plan},
 			search.Options{MaxSteps: *steps, Seed: seed, OffloadSearch: true})
 		if err != nil {

@@ -30,6 +30,10 @@ import (
 	"realhf/internal/serve"
 )
 
+// readHeaderTimeout is the per-connection budget for reading request
+// headers.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	os.Exit(run())
 }
@@ -71,7 +75,10 @@ func run() int {
 		log.Print(err)
 		return 1
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// ReadHeaderTimeout bounds how long a client may trickle request
+	// headers, so a slow client cannot hold a connection open forever.
+	// Bodies and solves are bounded separately (request deadlines).
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)

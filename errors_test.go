@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 )
 
 // TestErrorTaxonomy pins the exported error taxonomy the plan service maps
@@ -30,6 +31,15 @@ func TestErrorTaxonomy(t *testing.T) {
 	if _, err := AlgoRPCs("alignprop", "llama7b", "llama7b"); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("unknown algo: %v, want wrapped ErrInvalidConfig", err)
 	}
+	// A negative step bound is rejected up front; the solver never starts
+	// (it would otherwise walk until the deadline).
+	neg := fastConfig()
+	neg.SearchSteps = -1
+	bounded, cancelNeg := context.WithTimeout(ctx, 10*time.Second)
+	if _, err := p.Plan(bounded, neg); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("negative SearchSteps: %v, want wrapped ErrInvalidConfig", err)
+	}
+	cancelNeg()
 	if _, err := p.Plan(ctx, fastConfig(), WithCalibrationFactors(map[string]float64{"actor/GENERATE": -1})); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("negative calibration factor: %v, want wrapped ErrInvalidConfig", err)
 	}

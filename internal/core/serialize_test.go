@@ -11,9 +11,9 @@ import (
 
 func TestPlanSaveLoadRoundTrip(t *testing.T) {
 	p := ppoPlan(t, 2, 1)
-	ms := p.Models[dfg.Ref]
-	ms.OffloadWhenIdle = true
-	p.Models[dfg.Ref] = ms
+	a := p.Assign["RefInf"]
+	a.Offload = true
+	p.Assign["RefInf"] = a
 
 	path := filepath.Join(t.TempDir(), "plan.json")
 	if err := SavePlan(p, path); err != nil {
@@ -24,23 +24,14 @@ func TestPlanSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The loaded plan carries the hint mapped onto per-call Offload (see
-	// below), so it must match the original with the hint applied.
-	want := p.Clone()
-	want.ApplyOffloadHints()
-	if q.Fingerprint() != want.Fingerprint() {
-		t.Errorf("round trip changed assignments:\n%s\nvs\n%s", want.Fingerprint(), q.Fingerprint())
+	if q.Fingerprint() != p.Fingerprint() {
+		t.Errorf("round trip changed assignments:\n%s\nvs\n%s", p.Fingerprint(), q.Fingerprint())
 	}
 	if q.Cluster.Nodes != 2 || q.Cluster.GPUsPerNode != 8 {
 		t.Errorf("cluster shape lost: %+v", q.Cluster)
 	}
-	if !q.Models[dfg.Ref].OffloadWhenIdle {
-		t.Error("offload hint lost in round trip")
-	}
-	// Plans carrying only the legacy model-level hint get it mapped onto
-	// every call of the hinted frozen role at load time.
 	if !q.RoleOffloaded(dfg.Ref) {
-		t.Error("legacy OffloadWhenIdle hint not mapped onto per-call Offload at load")
+		t.Error("offloaded role lost in round trip")
 	}
 	if !q.Models[dfg.Actor].Trainable || q.Models[dfg.Reward].Trainable {
 		t.Error("trainability lost in round trip")
@@ -92,6 +83,66 @@ func TestLoadPlanRejectsOffloadedTrainable(t *testing.T) {
 	g := dfg.BuildPPO(dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
 	if _, err := LoadPlan(path, g); err == nil {
 		t.Error("loading a plan that offloads a trainable role must fail")
+	}
+}
+
+// legacyPlanFile is a plan file in the format written before offload was a
+// per-call decision: host offload is the model-level offload_when_idle flag
+// (here on the frozen ref role) and no assignment carries "offload".
+const legacyPlanFile = `{
+  "version": 1,
+  "nodes": 1,
+  "gpus_per_node": 8,
+  "algo": "ppo",
+  "models": [
+    {"role": "actor", "arch": "7b", "trainable": true},
+    {"role": "critic", "arch": "7b", "is_critic": true, "trainable": true},
+    {"role": "ref", "arch": "7b", "offload_when_idle": true},
+    {"role": "reward", "arch": "7b", "is_critic": true}
+  ],
+  "assignments": {
+    "ActorGen":    {"mesh_first": 0, "mesh_count": 8, "dp": 1, "tp": 8, "pp": 1, "micro_batches": 4},
+    "ActorTrain":  {"mesh_first": 0, "mesh_count": 8, "dp": 1, "tp": 8, "pp": 1, "micro_batches": 4},
+    "CriticInf":   {"mesh_first": 0, "mesh_count": 8, "dp": 1, "tp": 8, "pp": 1, "micro_batches": 4},
+    "CriticTrain": {"mesh_first": 0, "mesh_count": 8, "dp": 1, "tp": 8, "pp": 1, "micro_batches": 4},
+    "RefInf":      {"mesh_first": 0, "mesh_count": 8, "dp": 1, "tp": 8, "pp": 1, "micro_batches": 4},
+    "RewInf":      {"mesh_first": 0, "mesh_count": 8, "dp": 1, "tp": 8, "pp": 1, "micro_batches": 4}
+  }
+}`
+
+func TestUnmarshalLegacyOffloadFlag(t *testing.T) {
+	g := dfg.BuildPPO(dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 2})
+	p, err := UnmarshalPlan([]byte(legacyPlanFile), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range g.Nodes {
+		if got, want := p.Assign[n.Name].Offload, n.Role == dfg.Ref; got != want {
+			t.Errorf("%s (role %s): Offload = %v, want %v", n.Name, n.Role, got, want)
+		}
+	}
+	if !p.RoleOffloaded(dfg.Ref) {
+		t.Error("legacy offload_when_idle on ref did not offload the role")
+	}
+	// The flag is read, never written: re-encoding carries it per call.
+	data, err := p.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), "offload_when_idle") {
+		t.Error("re-encoded plan still writes the legacy model-level flag")
+	}
+
+	// The same flag on a trainable role is rejected: optimizer state pins
+	// trainable parameters on-device.
+	actor := `{"role": "actor", "arch": "7b", "trainable": true}`
+	bad := strings.Replace(legacyPlanFile, actor,
+		`{"role": "actor", "arch": "7b", "trainable": true, "offload_when_idle": true}`, 1)
+	if bad == legacyPlanFile {
+		t.Fatal("fixture edit did not apply")
+	}
+	if _, err := UnmarshalPlan([]byte(bad), g); err == nil || !strings.Contains(err.Error(), "trainable") {
+		t.Errorf("offload_when_idle on the trainable actor: err = %v, want a trainable-role rejection", err)
 	}
 }
 

@@ -178,7 +178,7 @@ func AblationNoRealloc(nodes, steps int) ([]AblationRow, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		full, err := pr.SearchPlan(steps, int64(10+i))
+		full, _, err := pr.SearchPlan(steps, int64(10+i))
 		if err != nil {
 			return nil, "", err
 		}
@@ -242,7 +242,7 @@ func AblationOverlap(nodes, steps int) ([]OverlapRow, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		searched, err := pr.SearchPlan(steps, int64(30+i))
+		searched, _, err := pr.SearchPlan(steps, int64(30+i))
 		if err != nil {
 			return nil, "", err
 		}
@@ -371,11 +371,11 @@ func AblationOverlapSearch(nodes, steps int) ([]OverlapSearchRow, string, error)
 			return nil, "", err
 		}
 		seed := int64(50 + i)
-		serial, err := pr.SearchPlanFor(false, steps, seed)
+		serial, _, err := pr.SearchPlan(steps, seed)
 		if err != nil {
 			return nil, "", err
 		}
-		over, err := pr.SearchPlanOverlapWarm(steps, seed, serial.Plan)
+		over, _, err := pr.SearchPlanOverlapWarm(steps, seed, serial.Plan)
 		if err != nil {
 			return nil, "", err
 		}
@@ -479,11 +479,11 @@ func AblationOffload(steps int) (OffloadRow, string, error) {
 		return OffloadRow{}, "", err
 	}
 	const seed = 60
-	def, err := pr.SolveWith("mcmc", search.Options{MaxSteps: steps, Seed: seed})
+	def, _, err := pr.Solve(false, "mcmc", search.Options{MaxSteps: steps, Seed: seed})
 	if err != nil {
 		return OffloadRow{}, "", err
 	}
-	off, err := pr.SolveWith("mcmc", search.Options{MaxSteps: steps, Seed: seed, OffloadSearch: true})
+	off, _, err := pr.Solve(false, "mcmc", search.Options{MaxSteps: steps, Seed: seed, OffloadSearch: true})
 	if err != nil {
 		return OffloadRow{}, "", err
 	}

@@ -40,7 +40,7 @@ func Fig16(nodes, steps int, actor, small model.Config) ([]Fig16Row, string, err
 		if err != nil {
 			return nil, "", err
 		}
-		res, err := pr.SearchPlan(steps, int64(1000+i))
+		res, _, err := pr.SearchPlan(steps, int64(1000+i))
 		if err != nil {
 			return nil, "", err
 		}

@@ -62,7 +62,7 @@ func Fig11(combos [][2]model.Config, nodes, steps int) ([]Fig11Row, string, erro
 		if err != nil {
 			return nil, "", err
 		}
-		res, err := pr.SearchPlan(steps, int64(100+i))
+		res, _, err := pr.SearchPlan(steps, int64(100+i))
 		if err != nil {
 			return nil, "", err
 		}

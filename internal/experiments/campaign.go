@@ -80,7 +80,7 @@ func AblationGenLenDrift(nodes, steps, iters int, seed int64) ([]DriftRow, Drift
 	if err != nil {
 		return nil, DriftSummary{}, "", err
 	}
-	res0, err := pr0.SearchPlanFor(true, steps, seed)
+	res0, _, err := pr0.Solve(true, "mcmc", search.Options{MaxSteps: steps, Seed: seed})
 	if err != nil {
 		return nil, DriftSummary{}, "", err
 	}
@@ -137,7 +137,7 @@ func AblationGenLenDrift(nodes, steps, iters int, seed int64) ([]DriftRow, Drift
 			return nil, DriftSummary{}, "", err
 		}
 		if iter > 0 && realized.GenLen != driftGenLen(iter-1) {
-			fresh, err := pr.SolveFor(true, "mcmc", search.Options{
+			fresh, _, err := pr.Solve(true, "mcmc", search.Options{
 				MaxSteps: steps, Seed: seed,
 				SeedCandidates: append(pr.WarmStarts(), stalePlan),
 			})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -70,7 +71,7 @@ func Fig7(critic model.Config, gpuCounts []int, steps int) ([]Fig7Row, string, e
 				CriticName: critic.Name, System: string(sys), PFLOPs: tp, OOM: rep.OOM})
 		}
 		// ReaL.
-		res, err := pr.SearchPlan(steps, int64(gpus))
+		res, _, err := pr.SearchPlan(steps, int64(gpus))
 		if err != nil {
 			return nil, "", err
 		}
@@ -140,7 +141,7 @@ func Fig8(combos [][2]model.Config, nodes int, ctxs []int, steps int) ([]Fig8Row
 			if err != nil {
 				return nil, "", err
 			}
-			res, err := pr.SearchPlan(steps, int64(ctx))
+			res, _, err := pr.SearchPlan(steps, int64(ctx))
 			if err != nil {
 				return nil, "", err
 			}
@@ -230,10 +231,11 @@ func Fig9(s Setting, steps int, seed int64) ([]ProgressiveStage, string, error) 
 		best := cur
 		bestCost := math.Inf(1)
 		for chain := 0; chain < 3; chain++ {
-			res, err := search.Search(pr.Est, pr.EmptyPlan(), search.Options{
-				MaxSteps: steps, Seed: seed + int64(gi) + int64(100*chain),
-				InitialPlan: cur, RestrictCalls: unlocked,
-			})
+			res, _, err := search.Solve(context.Background(), "mcmc",
+				search.Problem{Est: pr.Est, Plan: pr.EmptyPlan()}, search.Options{
+					MaxSteps: steps, Seed: seed + int64(gi) + int64(100*chain),
+					InitialPlan: cur, RestrictCalls: unlocked,
+				})
 			if err != nil {
 				return nil, "", err
 			}

@@ -127,21 +127,6 @@ func (pr *Problem) EmptyPlan() *core.Plan {
 	return core.NewPlan(pr.Cluster, pr.Graph, pr.Models)
 }
 
-// SearchProblem bundles the problem for the search package's Solver
-// interface, under the historical serialized cost semantics.
-func (pr *Problem) SearchProblem() search.Problem {
-	return pr.SearchProblemFor(false)
-}
-
-// SearchProblemFor bundles the problem with an explicit cost semantics:
-// overlap=true makes solvers score candidates with the overlapped-engine
-// estimator (estimator.Estimator.OverlapComm) — the schedule the runtime
-// executes with communication streams enabled — instead of the serialized
-// one.
-func (pr *Problem) SearchProblemFor(overlap bool) search.Problem {
-	return search.Problem{Est: pr.Est, Plan: pr.EmptyPlan(), Overlap: overlap}
-}
-
 // WarmStarts builds the baseline placements (symmetric heuristic and the
 // split-placement systems) used as SeedCandidates: all of them lie inside
 // the search space, and starting from the cheapest lets the reduced step
@@ -157,33 +142,29 @@ func (pr *Problem) WarmStarts() []*core.Plan {
 	return seeds
 }
 
-// SolveWith runs the named solver from the registry over this problem,
-// warm-started with the baseline placements.
-func (pr *Problem) SolveWith(solver string, opt search.Options) (*search.Result, error) {
-	return pr.SolveFor(false, solver, opt)
-}
-
-// SolveFor is SolveWith under an explicit cost semantics (see
-// SearchProblemFor).
-func (pr *Problem) SolveFor(overlap bool, solver string, opt search.Options) (*search.Result, error) {
+// Solve runs the named solver from the registry over this problem,
+// warm-started with the baseline placements unless opt brings its own
+// SeedCandidates. overlap=true scores candidates with the overlapped-engine
+// estimator (estimator.Estimator.OverlapComm) — the schedule the runtime
+// executes with communication streams enabled — instead of the serialized
+// one.
+func (pr *Problem) Solve(overlap bool, solver string, opt search.Options) (search.Solution, search.Stats, error) {
 	if opt.SeedCandidates == nil {
 		opt.SeedCandidates = pr.WarmStarts()
 	}
-	return search.Solve(context.Background(), solver, pr.SearchProblemFor(overlap), opt)
+	est := pr.Est
+	if overlap {
+		ov := *pr.Est
+		ov.OverlapComm = true
+		est = &ov
+	}
+	return search.Solve(context.Background(), solver, search.Problem{Est: est, Plan: pr.EmptyPlan()}, opt)
 }
 
-// SearchPlan runs the sequential MCMC planner with a fixed step budget and
-// seed — the pre-Solver entry point, now routed through the solver
-// registry.
-func (pr *Problem) SearchPlan(steps int, seed int64) (*search.Result, error) {
-	return pr.SolveWith("mcmc", search.Options{MaxSteps: steps, Seed: seed})
-}
-
-// SearchPlanFor is SearchPlan with the cost semantics chosen by the caller:
-// overlap=true searches for the plan that minimizes the overlapped
-// runtime's makespan.
-func (pr *Problem) SearchPlanFor(overlap bool, steps int, seed int64) (*search.Result, error) {
-	return pr.SolveFor(overlap, "mcmc", search.Options{MaxSteps: steps, Seed: seed})
+// SearchPlan runs the sequential MCMC planner under the serialized cost
+// semantics with a fixed step budget and seed.
+func (pr *Problem) SearchPlan(steps int, seed int64) (search.Solution, search.Stats, error) {
+	return pr.Solve(false, "mcmc", search.Options{MaxSteps: steps, Seed: seed})
 }
 
 // SearchPlanOverlapWarm is the canonical overlap-aware solve of the
@@ -193,8 +174,8 @@ func (pr *Problem) SearchPlanFor(overlap bool, steps int, seed int64) (*search.R
 // the result's overlapped-cost estimate never exceeds the serialized
 // plan's. Keeping the seeding policy in one place keeps that invariant
 // identical across every artifact that pins it.
-func (pr *Problem) SearchPlanOverlapWarm(steps int, seed int64, serialized *core.Plan) (*search.Result, error) {
-	return pr.SolveFor(true, "mcmc", search.Options{
+func (pr *Problem) SearchPlanOverlapWarm(steps int, seed int64, serialized *core.Plan) (search.Solution, search.Stats, error) {
+	return pr.Solve(true, "mcmc", search.Options{
 		MaxSteps: steps, Seed: seed,
 		SeedCandidates: append(pr.WarmStarts(), serialized),
 	})

@@ -71,7 +71,7 @@ func Fig12(scales []int, steps int) ([]Fig12Point, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		res, err := search.Solve(context.Background(), "mcmc",
+		res, _, err := search.Solve(context.Background(), "mcmc",
 			search.Problem{Est: profEst, Plan: pr.EmptyPlan()},
 			search.Options{
 				MaxSteps: steps, Seed: int64(nodes),
@@ -144,13 +144,13 @@ type ConvergencePoint struct {
 	Ratio   float64
 }
 
-func curveFrom(label string, res *search.Result) ConvergenceCurve {
-	c := ConvergenceCurve{Label: label, SpaceLog10: res.SpaceLog10}
-	if len(res.Trace) == 0 {
+func curveFrom(label string, st search.Stats) ConvergenceCurve {
+	c := ConvergenceCurve{Label: label, SpaceLog10: st.SpaceLog10}
+	if len(st.Trace) == 0 {
 		return c
 	}
-	initial := res.Trace[0].BestCost
-	for _, pt := range res.Trace {
+	initial := st.Trace[0].BestCost
+	for _, pt := range st.Trace {
 		c.Points = append(c.Points, ConvergencePoint{
 			Elapsed: pt.Elapsed, Step: pt.Step, Ratio: pt.BestCost / initial,
 		})
@@ -184,12 +184,12 @@ func Fig13(steps int, ctxs []int) ([]ConvergenceCurve, string, error) {
 			if err != nil {
 				return nil, "", err
 			}
-			res, err := pr.SearchPlan(steps, int64(ctx+sc.nodes))
+			_, st, err := pr.SearchPlan(steps, int64(ctx+sc.nodes))
 			if err != nil {
 				return nil, "", err
 			}
 			curves = append(curves, curveFrom(
-				fmt.Sprintf("%s ctx%d", sc.actor.Name, ctx), res))
+				fmt.Sprintf("%s ctx%d", sc.actor.Name, ctx), st))
 		}
 	}
 	var b strings.Builder
@@ -220,7 +220,7 @@ func Fig14(steps int, caps []int) ([]ConvergenceCurve, string, error) {
 	}
 	var curves []ConvergenceCurve
 	for _, cap := range caps {
-		res, err := search.Solve(context.Background(), "mcmc", pr.SearchProblem(),
+		_, st, err := pr.Solve(false, "mcmc",
 			search.Options{
 				MaxSteps: steps, Seed: int64(cap),
 				Prune: search.PruneModerate, MaxCandidatesPerCall: cap,
@@ -229,7 +229,7 @@ func Fig14(steps int, caps []int) ([]ConvergenceCurve, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		curves = append(curves, curveFrom(fmt.Sprintf("cap=%d (~1e%.0f plans)", cap, res.SpaceLog10), res))
+		curves = append(curves, curveFrom(fmt.Sprintf("cap=%d (~1e%.0f plans)", cap, st.SpaceLog10), st))
 	}
 	var b strings.Builder
 	b.WriteString(header("Figure 14: MCMC with pruned search spaces, 1024 GPUs"))
@@ -269,19 +269,18 @@ func Fig15(steps, topK int) ([]Fig15Result, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		bf, err := search.Solve(context.Background(), "exhaustive", pr.SearchProblem(),
-			search.Options{MaxCandidatesPerCall: topK})
+		bf, _, err := pr.Solve(false, "exhaustive", search.Options{MaxCandidatesPerCall: topK})
 		if err != nil {
 			return nil, "", err
 		}
-		res, err := pr.SearchPlan(steps, int64(cfg.batch))
+		res, st, err := pr.SearchPlan(steps, int64(cfg.batch))
 		if err != nil {
 			return nil, "", err
 		}
 		out = append(out, Fig15Result{
 			Label:       fmt.Sprintf("BS=%d SeqLen=%d", cfg.batch, cfg.seqLen),
 			OptimalCost: bf.Cost,
-			MCMC:        curveFrom("mcmc", res),
+			MCMC:        curveFrom("mcmc", st),
 			MCMCBest:    res.Cost,
 		})
 	}

@@ -36,7 +36,7 @@ func LimitationStudy(nodes, steps int, spreads []float64, seed int64) ([]Limitat
 	if err != nil {
 		return nil, "", err
 	}
-	res, err := pr.SearchPlan(steps, seed)
+	res, _, err := pr.SearchPlan(steps, seed)
 	if err != nil {
 		return nil, "", err
 	}
@@ -87,7 +87,7 @@ func LimitationStudy(nodes, steps int, spreads []float64, seed int64) ([]Limitat
 				return nil, "", err
 			}
 			// Re-plan with knowledge of the realized length.
-			fresh, err := prReal.SearchPlan(steps, seed+int64(spread*1000)+int64(d))
+			fresh, _, err := prReal.SearchPlan(steps, seed+int64(spread*1000)+int64(d))
 			if err != nil {
 				return nil, "", err
 			}

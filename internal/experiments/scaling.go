@@ -36,7 +36,7 @@ func Fig17(actors []model.Config, nodeCounts []int, steps int) ([]Fig17Row, stri
 			if err != nil {
 				return nil, "", err
 			}
-			res, err := pr.SearchPlan(steps, int64(nodes*1000))
+			res, _, err := pr.SearchPlan(steps, int64(nodes*1000))
 			if err != nil {
 				return nil, "", err
 			}

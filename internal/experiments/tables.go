@@ -71,7 +71,7 @@ func RunBreakdownCase(name string, s Setting, steps int, seed int64) (*Breakdown
 	if err != nil {
 		return nil, err
 	}
-	res, err := pr.SearchPlan(steps, seed)
+	res, _, err := pr.SearchPlan(steps, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +108,7 @@ func RunBreakdownCase(name string, s Setting, steps int, seed int64) (*Breakdown
 	}
 	bc.SearchedE2EOverlap = sOv.MakespanV
 	bc.HeuristicE2EOverlap = hOv.MakespanV
-	resOv, err := pr.SearchPlanOverlapWarm(steps, seed, res.Plan)
+	resOv, _, err := pr.SearchPlanOverlapWarm(steps, seed, res.Plan)
 	if err != nil {
 		return nil, err
 	}

@@ -21,7 +21,7 @@ type exhaustiveSolver struct{}
 func (exhaustiveSolver) Name() string { return "exhaustive" }
 
 func (exhaustiveSolver) Solve(ctx context.Context, prob Problem, opt Options) (Solution, Stats, error) {
-	e, p := prob.estimator(), prob.Plan
+	e, p := prob.Est, prob.Plan
 	topK := opt.MaxCandidatesPerCall
 	if topK <= 0 {
 		topK = 6

@@ -9,20 +9,10 @@ import (
 	"realhf/internal/estimator"
 )
 
-// Greedy builds the paper's seed plan p₀: every call independently takes the
-// assignment minimizing its own estimated duration, ignoring overlap and
-// memory (§5.2 notes this seed is usually sub-optimal for exactly those
-// reasons).
-func Greedy(e *estimator.Estimator, p *core.Plan, lvl PruneLevel) (*core.Plan, error) {
-	sets, _, err := candidateSets(p, lvl, false)
-	if err != nil {
-		return nil, err
-	}
-	return greedyFromSets(e, p, sets)
-}
-
-// greedyFromSets is Greedy over precomputed candidate sets, so callers that
-// already enumerated the space don't pay for it twice.
+// greedyFromSets builds the paper's seed plan p₀ over precomputed candidate
+// sets: every call independently takes the assignment minimizing its own
+// estimated duration, ignoring overlap and memory (§5.2 notes this seed is
+// usually sub-optimal for exactly those reasons).
 func greedyFromSets(e *estimator.Estimator, p *core.Plan, sets map[string][]core.Assignment) (*core.Plan, error) {
 	byName := nodesByName(p)
 	out := p.Clone()
@@ -46,9 +36,9 @@ func greedyFromSets(e *estimator.Estimator, p *core.Plan, sets map[string][]core
 	return out, nil
 }
 
-// greedySolver wraps Greedy as a Solver: it builds the per-call minimizing
-// seed plan and reports its estimate, with no sampling. Deterministic and
-// seed-independent.
+// greedySolver is the greedy seed as a Solver: it builds the per-call
+// minimizing seed plan and reports its estimate, with no sampling.
+// Deterministic and seed-independent.
 type greedySolver struct{}
 
 func (greedySolver) Name() string { return "greedy" }
@@ -58,7 +48,7 @@ func (greedySolver) Solve(ctx context.Context, prob Problem, opt Options) (Solut
 	if err := ctx.Err(); err != nil {
 		return Solution{}, Stats{}, fmt.Errorf("search: greedy solve cancelled: %w", err)
 	}
-	e := prob.estimator()
+	e := prob.Est
 	sets, spaceLog10, err := candidateSets(prob.Plan, opt.Prune, opt.OffloadSearch)
 	if err != nil {
 		return Solution{}, Stats{}, err

@@ -49,8 +49,10 @@ type chainState struct {
 
 	ev *planEvaluator
 
-	beta         float64
-	adaptiveBeta bool
+	// beta is the sampling temperature of P(p) ∝ exp(−β·cost), kept at
+	// 10/bestCost so relative cost differences matter uniformly across
+	// problem sizes.
+	beta float64
 
 	step      int // proposals attempted (including failed evaluations)
 	accepted  int
@@ -59,6 +61,9 @@ type chainState struct {
 	done      bool
 	cancelled bool
 }
+
+// betaFor is the adaptive temperature for a chain whose best cost is cost.
+func betaFor(cost float64) float64 { return 10 / math.Max(cost, 1e-9) }
 
 // betterUnderHardMem orders (OOM, cost) pairs with the memory ledger as a
 // hard constraint: any feasible plan beats any infeasible one, and cost
@@ -105,7 +110,7 @@ func (c *chainState) run(ctx context.Context, sp *space, opt Options, start time
 			return
 		}
 		//lint:realvet wallclock -- TimeLimit mode is wall-clock by design; deterministic runs pin MaxSteps
-		if opt.MaxSteps == 0 && time.Since(start) > opt.TimeLimit {
+		if opt.MaxSteps <= 0 && time.Since(start) > opt.TimeLimit {
 			c.done = true
 			return
 		}
@@ -154,12 +159,10 @@ func (c *chainState) run(ctx context.Context, sp *space, opt Options, start time
 				c.bestCost = pc.Cost
 				c.bestOOM = pc.OOM
 				copyAssign(c.best, c.cur)
-				if c.adaptiveBeta {
-					// Keep the temperature matched to the current cost
-					// scale: an OOM-penalized seed would otherwise leave β
-					// so small that the chain random-walks forever.
-					c.beta = 10 / math.Max(c.bestCost, 1e-9)
-				}
+				// Keep the temperature matched to the current cost scale:
+				// an OOM-penalized seed would otherwise leave β so small
+				// that the chain random-walks forever.
+				c.beta = betaFor(c.bestCost)
 				c.record(ProgressPoint{ //lint:realvet wallclock -- Elapsed is observability-only, excluded from fingerprints
 					Elapsed: time.Since(start), Step: step, BestCost: c.bestCost,
 				})
@@ -167,7 +170,7 @@ func (c *chainState) run(ctx context.Context, sp *space, opt Options, start time
 		} else {
 			c.cur.Assign[name] = prev
 		}
-		if step%opt.ProgressEvery == 0 {
+		if step%progressEvery == 0 {
 			c.record(ProgressPoint{ //lint:realvet wallclock -- Elapsed is observability-only, excluded from fingerprints
 				Elapsed: time.Since(start), Step: step, BestCost: c.bestCost,
 			})
@@ -184,21 +187,13 @@ func (c *chainState) run(ctx context.Context, sp *space, opt Options, start time
 // Seeds are Plan.Validated first: the compact path assumes individually
 // legal assignments, and an illegal caller-provided plan must fail (for
 // InitialPlan) or be skipped (for SeedCandidates) exactly as it did when
-// the full evaluator re-validated every plan. Plans seeding a problem whose
-// models carry OffloadWhenIdle hints get the hints folded onto their
-// per-call offload bits (on clones — caller plans are never mutated), so
-// legacy hinted inputs warm-start the search exactly where the fixed-input
-// semantics would have pinned them.
+// the full evaluator re-validated every plan.
 func startState(ev *planEvaluator, e *estimator.Estimator,
 	p *core.Plan, sp *space, opt Options) (*core.Plan, estimator.PlanCost, error) {
-	applyHints := p.HasOffloadHints()
 	var cur *core.Plan
 	var err error
 	if opt.InitialPlan != nil {
 		cur = opt.InitialPlan.Clone()
-		if applyHints {
-			cur.ApplyOffloadHints()
-		}
 		if err := cur.Validate(); err != nil {
 			return nil, estimator.PlanCost{}, err
 		}
@@ -206,9 +201,6 @@ func startState(ev *planEvaluator, e *estimator.Estimator,
 		cur, err = greedyFromSets(e, p, sp.fullSets)
 		if err != nil {
 			return nil, estimator.PlanCost{}, err
-		}
-		if applyHints {
-			cur.ApplyOffloadHints()
 		}
 	}
 	curPC, err := ev.cost(cur)
@@ -221,20 +213,15 @@ func startState(ev *planEvaluator, e *estimator.Estimator,
 		if seed == nil {
 			continue
 		}
-		s := seed
-		if applyHints {
-			s = seed.Clone()
-			s.ApplyOffloadHints()
-		}
-		if err := s.Validate(); err != nil {
+		if err := seed.Validate(); err != nil {
 			continue
 		}
-		sr, err := ev.cost(s)
+		sr, err := ev.cost(seed)
 		if err != nil {
 			continue
 		}
 		if sr.Cost < curPC.Cost {
-			cur, curPC = s.Clone(), sr
+			cur, curPC = seed.Clone(), sr
 		}
 	}
 	return cur, curPC, nil
@@ -270,7 +257,7 @@ func (parallelMCMCSolver) Solve(ctx context.Context, prob Problem, opt Options) 
 func solveMCMC(ctx context.Context, prob Problem, opt Options, chains int) (Solution, Stats, error) {
 	opt = opt.withDefaults()
 	start := time.Now() //lint:realvet wallclock -- anchors the TimeLimit budget and Elapsed trace, never plan content
-	e, p := prob.estimator(), prob.Plan
+	e, p := prob.Est, prob.Plan
 
 	if err := ctx.Err(); err != nil {
 		return Solution{}, Stats{}, fmt.Errorf("search: mcmc solve cancelled before candidate enumeration: %w", err)
@@ -317,17 +304,13 @@ func solveMCMC(ctx context.Context, prob Problem, opt Options, chains int) (Solu
 	cs := make([]*chainState, chains)
 	for i := range cs {
 		seed := chainSeed(opt.Seed, i)
-		beta := opt.Beta
-		if opt.Beta == 0 {
-			beta = 10 / math.Max(curCost, 1e-9)
-		}
 		cs[i] = &chainState{
 			idx: i, seed: seed, rng: rand.New(rand.NewSource(seed)),
 			cur: cur.Clone(), curCost: curCost, curOOM: curPC.OOM,
 			best: cur.Clone(), bestCost: curCost, bestOOM: curPC.OOM,
-			hardMem: opt.OffloadSearch,
-			ev:      evs[i],
-			beta:    beta, adaptiveBeta: opt.Beta == 0,
+			hardMem:  opt.OffloadSearch,
+			ev:       evs[i],
+			beta:     betaFor(curCost),
 			progress: progress,
 		}
 	}
@@ -457,8 +440,8 @@ func exchangeBest(cs []*chainState) {
 			c.curCost = g.bestCost
 			c.curOOM = g.bestOOM
 			// The adopted plan is the best this chain now knows: fold it
-			// into the chain's best and rescale an adaptive temperature to
-			// the new cost scale. Without the rescale a chain seeded at an
+			// into the chain's best and rescale the temperature to the new
+			// cost scale. Without the rescale a chain seeded at an
 			// OOM-penalized cost keeps β ≈ 10/hugeCost ≈ 0 after adopting a
 			// cheap plan and accepts nearly every uphill proposal for the
 			// rest of the solve.
@@ -470,9 +453,7 @@ func exchangeBest(cs []*chainState) {
 				copyAssign(c.best, g.best)
 				c.bestCost = g.bestCost
 				c.bestOOM = g.bestOOM
-				if c.adaptiveBeta {
-					c.beta = 10 / math.Max(c.bestCost, 1e-9)
-				}
+				c.beta = betaFor(c.bestCost)
 			}
 		}
 	}

@@ -65,7 +65,7 @@ func TestExchangeRescalesAdaptiveBeta(t *testing.T) {
 			idx: idx, seed: seed, rng: rand.New(rand.NewSource(seed)),
 			cur: cur.Clone(), curCost: cost,
 			best: cur.Clone(), bestCost: cost,
-			beta: 10 / math.Max(cost, 1e-9), adaptiveBeta: true,
+			beta: betaFor(cost),
 		}
 	}
 	cs := []*chainState{mk(0, good, goodCost), mk(1, oom, oomRes.Cost)}
@@ -183,7 +183,7 @@ func TestParallelCancellationMidBarrier(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := Solve(ctx, "parallel-mcmc", prob, Options{
+	_, _, err := Solve(ctx, "parallel-mcmc", prob, Options{
 		TimeLimit: 30 * time.Second, Chains: 4, ExchangeEvery: 8, Seed: 2,
 	})
 	if !errors.Is(err, context.Canceled) {
@@ -198,10 +198,7 @@ func TestParallelCancellationMidBarrier(t *testing.T) {
 // carries parameter-reallocation traffic the overlapped schedule can hide.
 func reallocHeavyPlan(t *testing.T, prob Problem) *core.Plan {
 	t.Helper()
-	seed, err := Greedy(prob.Est, prob.Plan, PruneNone)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seed := greedySeed(t, prob.Est, prob.Plan)
 	half := prob.Plan.Cluster.NumGPUs() / 2
 	m, err := mesh.New(0, half, prob.Plan.Cluster.GPUsPerNode)
 	if err != nil {
@@ -260,47 +257,31 @@ func TestOverlapAwareSolveOptimizesOverlappedCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	overProb := Problem{Est: prob.Est, Plan: prob.Plan, Overlap: true}
-	over, _, err := mcmcSolver{}.Solve(context.Background(), overProb, Options{
+	over := *prob.Est
+	over.OverlapComm = true
+	overProb := Problem{Est: &over, Plan: prob.Plan}
+	sol, _, err := mcmcSolver{}.Solve(context.Background(), overProb, Options{
 		MaxSteps: 400, Seed: 7, SeedCandidates: []*core.Plan{serial.Plan},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	serialUnderOverlap, err := overProb.estimator().Evaluate(serial.Plan)
+	serialUnderOverlap, err := over.Evaluate(serial.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if over.Cost > serialUnderOverlap.Cost {
+	if sol.Cost > serialUnderOverlap.Cost {
 		t.Errorf("overlap-aware solve (%.6f) worse than its serialized warm start under overlapped costs (%.6f)",
-			over.Cost, serialUnderOverlap.Cost)
+			sol.Cost, serialUnderOverlap.Cost)
 	}
 	// The solution's estimate must carry the overlapped semantics: never
 	// above the same plan's serialized makespan.
-	serialOfChosen, err := prob.Est.Evaluate(over.Plan)
+	serialOfChosen, err := prob.Est.Evaluate(sol.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if over.Estimate.TimeCost > serialOfChosen.TimeCost {
+	if sol.Estimate.TimeCost > serialOfChosen.TimeCost {
 		t.Errorf("overlap-aware estimate %.6f exceeds the serialized makespan %.6f of the same plan",
-			over.Estimate.TimeCost, serialOfChosen.TimeCost)
-	}
-}
-
-// TestOverlapProblemDefaultUnchanged: Problem.Overlap = false must keep the
-// historical serialized objective bit for bit.
-func TestOverlapProblemDefaultUnchanged(t *testing.T) {
-	prob := testProblem(t, 1, 128)
-	a, _, err := mcmcSolver{}.Solve(context.Background(), prob, Options{MaxSteps: 300, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := mcmcSolver{}.Solve(context.Background(),
-		Problem{Est: prob.Est, Plan: prob.Plan, Overlap: false}, Options{MaxSteps: 300, Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Cost != b.Cost || a.Plan.Fingerprint() != b.Plan.Fingerprint() {
-		t.Error("explicit Overlap=false drifted from the default solve")
+			sol.Estimate.TimeCost, serialOfChosen.TimeCost)
 	}
 }

@@ -67,21 +67,16 @@ func TestCandidatesEmitOffloadVariants(t *testing.T) {
 		}
 	}
 
-	// With offload search off, candidate enumeration keeps the legacy
-	// fixed-input behavior: a hinted frozen role is offloaded everywhere,
-	// everything else nowhere.
-	ms := p.Models[dfg.Ref]
-	ms.OffloadWhenIdle = true
-	p.Models[dfg.Ref] = ms
+	// With offload search off, no call of any role gets an offloaded
+	// candidate.
 	sets, _, err = candidateSets(p, PruneNone, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, cands := range sets {
-		role := byName[name].Role
 		for _, a := range cands {
-			if a.Offload != (role == dfg.Ref) {
-				t.Fatalf("%s (role %s): offload=%v under fixed-input semantics", name, role, a.Offload)
+			if a.Offload {
+				t.Fatalf("%s (role %s): offloaded candidate with offload search off", name, byName[name].Role)
 			}
 		}
 	}
@@ -92,10 +87,7 @@ func TestCandidatesEmitOffloadVariants(t *testing.T) {
 // never be answered with (or poisoned by) its feasible offloaded twin.
 func TestCostCacheOffloadDistinct(t *testing.T) {
 	p, e := offloadProblem(t, 64, 256, 256)
-	seed, err := Greedy(e, p, PruneNone)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seed := greedySeed(t, e, p)
 	off := seed.Clone()
 	for _, n := range off.Graph.Nodes {
 		if !off.Models[n.Role].Trainable {

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -26,12 +27,35 @@ func newProblem(t *testing.T, nodes int, actor, critic model.Config, batch, prom
 	return p, estimator.New(cluster, costers)
 }
 
-func TestGreedyProducesValidPlan(t *testing.T) {
-	p, e := newProblem(t, 2, model.LLaMA7B, model.LLaMA7B, 256, 512, 512)
-	seed, err := Greedy(e, p, PruneNone)
+// greedySeed builds the greedy seed plan p₀ over the unpruned candidate
+// space, as the MCMC solvers do before their first proposal.
+func greedySeed(t *testing.T, e *estimator.Estimator, p *core.Plan) *core.Plan {
+	t.Helper()
+	sets, _, err := candidateSets(p, PruneNone, false)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seed, err := greedyFromSets(e, p, sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seed
+}
+
+// runMCMC runs the sequential MCMC solver on (e, p) and fails the test on
+// error.
+func runMCMC(t *testing.T, e *estimator.Estimator, p *core.Plan, opt Options) (Solution, Stats) {
+	t.Helper()
+	sol, st, err := mcmcSolver{}.Solve(context.Background(), Problem{Est: e, Plan: p}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sol, st
+}
+
+func TestGreedyProducesValidPlan(t *testing.T) {
+	p, e := newProblem(t, 2, model.LLaMA7B, model.LLaMA7B, 256, 512, 512)
+	seed := greedySeed(t, e, p)
 	if err := seed.Validate(); err != nil {
 		t.Fatalf("greedy plan invalid: %v", err)
 	}
@@ -42,18 +66,11 @@ func TestGreedyProducesValidPlan(t *testing.T) {
 
 func TestSearchImprovesOnGreedy(t *testing.T) {
 	p, e := newProblem(t, 2, model.LLaMA7B, model.LLaMA7B, 256, 512, 512)
-	seed, err := Greedy(e, p, PruneNone)
+	seedRes, err := e.Evaluate(greedySeed(t, e, p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedRes, err := e.Evaluate(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Search(e, p, Options{MaxSteps: 1500, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := runMCMC(t, e, p, Options{MaxSteps: 1500, Seed: 1})
 	if res.Cost > seedRes.Cost {
 		t.Errorf("search (%.3f) must never be worse than its seed (%.3f)", res.Cost, seedRes.Cost)
 	}
@@ -67,14 +84,8 @@ func TestSearchImprovesOnGreedy(t *testing.T) {
 
 func TestSearchDeterministicWithSeed(t *testing.T) {
 	p, e := newProblem(t, 1, model.LLaMA7B, model.LLaMA7B, 128, 256, 256)
-	a, err := Search(e, p, Options{MaxSteps: 400, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Search(e, p, Options{MaxSteps: 400, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, _ := runMCMC(t, e, p, Options{MaxSteps: 400, Seed: 42})
+	b, _ := runMCMC(t, e, p, Options{MaxSteps: 400, Seed: 42})
 	if a.Cost != b.Cost || a.Plan.Fingerprint() != b.Plan.Fingerprint() {
 		t.Error("same seed must reproduce the same search outcome")
 	}
@@ -82,20 +93,17 @@ func TestSearchDeterministicWithSeed(t *testing.T) {
 
 func TestSearchTraceMonotone(t *testing.T) {
 	p, e := newProblem(t, 2, model.LLaMA7B, model.LLaMA7B, 256, 512, 512)
-	res, err := Search(e, p, Options{MaxSteps: 800, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trace) == 0 {
+	res, st := runMCMC(t, e, p, Options{MaxSteps: 800, Seed: 3})
+	if len(st.Trace) == 0 {
 		t.Fatal("empty search trace")
 	}
-	for i := 1; i < len(res.Trace); i++ {
-		if res.Trace[i].BestCost > res.Trace[i-1].BestCost+1e-12 {
+	for i := 1; i < len(st.Trace); i++ {
+		if st.Trace[i].BestCost > st.Trace[i-1].BestCost+1e-12 {
 			t.Fatalf("best cost increased along trace: %v -> %v",
-				res.Trace[i-1].BestCost, res.Trace[i].BestCost)
+				st.Trace[i-1].BestCost, st.Trace[i].BestCost)
 		}
 	}
-	if res.Trace[len(res.Trace)-1].BestCost != res.Cost {
+	if st.Trace[len(st.Trace)-1].BestCost != res.Cost {
 		t.Error("final trace point must match result cost")
 	}
 }
@@ -114,10 +122,7 @@ func TestSearchBeatsSymmetricHeuristic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Search(e, p, Options{MaxSteps: 2500, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := runMCMC(t, e, p, Options{MaxSteps: 2500, Seed: 7})
 	if res.Cost >= symRes.Cost {
 		t.Errorf("searched plan (%.1fs) should beat the symmetric plan (%.1fs)",
 			res.Cost, symRes.Cost)
@@ -164,13 +169,10 @@ func TestCandidatesRespectPruning(t *testing.T) {
 
 func TestShortlistCapsSpace(t *testing.T) {
 	p, e := newProblem(t, 2, model.LLaMA7B, model.LLaMA7B, 256, 512, 512)
-	res, err := Search(e, p, Options{MaxSteps: 200, Seed: 1, MaxCandidatesPerCall: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, st := runMCMC(t, e, p, Options{MaxSteps: 200, Seed: 1, MaxCandidatesPerCall: 10})
 	// 6 calls × ≤10 candidates → log10 space ≤ 6.
-	if res.SpaceLog10 > 6.001 {
-		t.Errorf("capped space log10 = %.2f, want <= 6", res.SpaceLog10)
+	if st.SpaceLog10 > 6.001 {
+		t.Errorf("capped space log10 = %.2f, want <= 6", st.SpaceLog10)
 	}
 	if err := res.Plan.Validate(); err != nil {
 		t.Error(err)
@@ -182,14 +184,12 @@ func TestBruteForceFindsAtLeastSearchQuality(t *testing.T) {
 	// must be at least as good as a short MCMC run (it is the Fig. 15
 	// optimality reference).
 	p, e := newProblem(t, 1, model.LLaMA7B, model.LLaMA7B, 64, 256, 256)
-	bf, err := BruteForce(e, p, 4)
+	bf, _, err := exhaustiveSolver{}.Solve(context.Background(),
+		Problem{Est: e, Plan: p}, Options{MaxCandidatesPerCall: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := Search(e, p, Options{MaxSteps: 300, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mc, _ := runMCMC(t, e, p, Options{MaxSteps: 300, Seed: 5})
 	if bf.Cost > mc.Cost*1.02 {
 		t.Errorf("brute force (%.3f) should not lose to a short MCMC run (%.3f)", bf.Cost, mc.Cost)
 	}
@@ -201,12 +201,22 @@ func TestBruteForceFindsAtLeastSearchQuality(t *testing.T) {
 func TestSearchTimeLimit(t *testing.T) {
 	p, e := newProblem(t, 1, model.LLaMA7B, model.LLaMA7B, 64, 256, 256)
 	start := time.Now()
-	_, err := Search(e, p, Options{TimeLimit: 150 * time.Millisecond, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runMCMC(t, e, p, Options{TimeLimit: 150 * time.Millisecond, Seed: 1})
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("search ran %v, far beyond its 150ms budget", elapsed)
+	}
+}
+
+// TestNegativeMaxStepsHonorsTimeLimit: a negative step bound is not a
+// bound, so the time limit must still stop the walk.
+func TestNegativeMaxStepsHonorsTimeLimit(t *testing.T) {
+	p, e := newProblem(t, 1, model.LLaMA7B, model.LLaMA7B, 64, 256, 256)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, _, err := mcmcSolver{}.Solve(ctx, Problem{Est: e, Plan: p},
+		Options{MaxSteps: -1, TimeLimit: 50 * time.Millisecond, Seed: 1})
+	if err != nil {
+		t.Fatalf("negative MaxSteps walked past its 50ms time limit: %v", err)
 	}
 }
 
@@ -216,10 +226,7 @@ func TestSearchedPlanUsesAsymmetry(t *testing.T) {
 	// at least differentiates assignments; verify the searched plan is not
 	// fully symmetric.
 	p, e := newProblem(t, 2, model.LLaMA7B, model.LLaMA7B, 512, 1024, 1024)
-	res, err := Search(e, p, Options{MaxSteps: 3000, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := runMCMC(t, e, p, Options{MaxSteps: 3000, Seed: 11})
 	assigns := map[string]bool{}
 	for _, name := range res.Plan.CallNames() {
 		a := res.Plan.Assign[name]

@@ -24,31 +24,12 @@ import (
 )
 
 // Problem bundles what every solver needs: the cost model and the plan
-// template (cluster, graph, models; assignments may be empty).
+// template (cluster, graph, models; assignments may be empty). Solvers score
+// candidates with Est exactly as given, so Est.OverlapComm selects the
+// overlapped-engine cost semantics.
 type Problem struct {
 	Est  *estimator.Estimator
 	Plan *core.Plan
-	// Overlap makes solvers score every candidate plan with the
-	// overlapped-engine cost semantics (estimator.Estimator.OverlapComm):
-	// Algorithm 1 then simulates a second per-device communication lane, the
-	// schedule the runtime actually executes under realhf.DefaultRunOptions.
-	// The default (false) keeps the historical fully-serialized objective,
-	// so existing solves and golden plans are unchanged. The flag composes
-	// with Est: an estimator that already has OverlapComm set keeps it.
-	Overlap bool
-}
-
-// estimator resolves the cost model solvers must score candidates with:
-// prob.Est as-is, or a copy with OverlapComm enabled when prob.Overlap asks
-// for the overlapped objective. The copy shares the immutable cost tables,
-// so it is as cheap and concurrency-safe as the original.
-func (prob Problem) estimator() *estimator.Estimator {
-	if !prob.Overlap || prob.Est == nil || prob.Est.OverlapComm {
-		return prob.Est
-	}
-	e := *prob.Est
-	e.OverlapComm = true
-	return &e
 }
 
 // Solution is a solver's chosen plan with its estimate.
@@ -130,13 +111,9 @@ const (
 type Options struct {
 	// TimeLimit bounds wall-clock search time (default 5 s).
 	TimeLimit time.Duration
-	// MaxSteps bounds MCMC steps per chain (0 = unbounded; the time limit
-	// governs).
+	// MaxSteps bounds MCMC steps per chain (0 or negative = unbounded; the
+	// time limit governs).
 	MaxSteps int
-	// Beta is the sampling temperature β of P(p) ∝ exp(−β·cost). When 0 it
-	// is auto-scaled to 10/cost(p₀) so relative cost differences matter
-	// uniformly across problem sizes.
-	Beta float64
 	// Seed makes the chain deterministic. Multi-chain solvers derive each
 	// chain's seed from it (chain 0 uses it verbatim, so a one-chain run
 	// reproduces the sequential walker exactly).
@@ -149,8 +126,6 @@ type Options struct {
 	// space of ~N^calls plans). The exhaustive solver uses it as its
 	// per-call shortlist width (default 6).
 	MaxCandidatesPerCall int
-	// ProgressEvery records a trace point every N steps (default 64).
-	ProgressEvery int
 	// Progress, when non-nil, streams every recorded ProgressPoint (periodic
 	// samples and best-cost improvements) while the search runs — the hook
 	// behind the public API's WithProgress option. Multi-chain solvers
@@ -172,9 +147,7 @@ type Options struct {
 	RestrictCalls []string
 	// Chains is the number of parallel MCMC chains for the parallel-mcmc
 	// solver: 0 means GOMAXPROCS-many, 1 runs a single chain (bit-identical
-	// to the sequential walker), and the sequential solvers ignore it. The
-	// legacy Search entry point upgrades to the parallel solver when
-	// Chains > 1.
+	// to the sequential walker), and the sequential solvers ignore it.
 	Chains int
 	// ExchangeEvery is the per-chain step interval between best-plan
 	// exchanges in the parallel solver (default 256). Exchanges happen at
@@ -184,7 +157,7 @@ type Options struct {
 	// re-planning the same problem with different solvers). When nil each
 	// solve allocates its own. Plan-level entries are keyed by the cost
 	// semantics in use, so one cache may safely serve both serialized and
-	// overlap-aware (Problem.Overlap) solves of the same problem.
+	// overlap-aware (Estimator.OverlapComm) solves of the same problem.
 	Cache *CostCache
 	// OffloadSearch makes host offload a searched plan dimension: candidate
 	// enumeration emits an offloaded variant of every frozen-role assignment,
@@ -192,9 +165,9 @@ type Options struct {
 	// memory ledger becomes a hard constraint — a feasible plan beats any
 	// infeasible one regardless of the OOM-penalized cost, so the search
 	// cannot return an over-memory plan while a fitting one was seen. The
-	// default (false) keeps offload fixed at the models' OffloadWhenIdle
-	// hints, leaving existing solves, RNG streams and golden plans
-	// byte-identical.
+	// default (false) keeps every call device-resident (seed plans keep
+	// their own per-call Offload bits), leaving existing solves, RNG streams
+	// and golden plans byte-identical.
 	OffloadSearch bool
 }
 
@@ -202,14 +175,14 @@ func (o Options) withDefaults() Options {
 	if o.TimeLimit == 0 {
 		o.TimeLimit = 5 * time.Second
 	}
-	if o.ProgressEvery == 0 {
-		o.ProgressEvery = 64
-	}
 	if o.ExchangeEvery == 0 {
 		o.ExchangeEvery = 256
 	}
 	return o
 }
+
+// progressEvery is the step interval between periodic trace points.
+const progressEvery = 64
 
 // ProgressPoint is one sample of best-cost-so-far over search time.
 type ProgressPoint struct {
@@ -217,16 +190,6 @@ type ProgressPoint struct {
 	Step     int
 	BestCost float64
 }
-
-// Result is the legacy flat view of a solve, kept for the pre-Solver API:
-// it promotes every Solution and Stats field, so existing callers keep
-// reading res.Plan, res.Cost, res.Trace, res.Steps, … unchanged.
-type Result struct {
-	Solution
-	Stats
-}
-
-func resultOf(sol Solution, st Stats) *Result { return &Result{Solution: sol, Stats: st} }
 
 // --- solver registry ---
 
@@ -236,10 +199,6 @@ var solvers = map[string]func() Solver{
 	"parallel-mcmc": func() Solver { return parallelMCMCSolver{} },
 	"exhaustive":    func() Solver { return exhaustiveSolver{} },
 }
-
-// Register adds a named solver factory. Registering an existing name
-// replaces it.
-func Register(name string, factory func() Solver) { solvers[name] = factory }
 
 // New resolves a registered solver by name.
 func New(name string) (Solver, error) {
@@ -260,46 +219,13 @@ func Names() []string {
 	return out
 }
 
-// Solve resolves a solver by name and runs it, returning the legacy flat
-// Result view.
-func Solve(ctx context.Context, name string, prob Problem, opt Options) (*Result, error) {
+// Solve resolves a solver by name and runs it.
+func Solve(ctx context.Context, name string, prob Problem, opt Options) (Solution, Stats, error) {
 	s, err := New(name)
 	if err != nil {
-		return nil, err
+		return Solution{}, Stats{}, err
 	}
-	sol, st, err := s.Solve(ctx, prob, opt)
-	if err != nil {
-		return nil, err
-	}
-	return resultOf(sol, st), nil
-}
-
-// --- legacy entry points (pre-Solver API), retained as thin wrappers ---
-
-// Search runs Metropolis–Hastings from the greedy seed and returns the best
-// plan observed. With opt.Chains > 1 it upgrades to the parallel multi-chain
-// solver; otherwise it is exactly the sequential single-chain walker.
-func Search(e *estimator.Estimator, p *core.Plan, opt Options) (*Result, error) {
-	var s Solver = mcmcSolver{}
-	if opt.Chains > 1 {
-		s = parallelMCMCSolver{}
-	}
-	sol, st, err := s.Solve(context.Background(), Problem{Est: e, Plan: p}, opt)
-	if err != nil {
-		return nil, err
-	}
-	return resultOf(sol, st), nil
-}
-
-// BruteForce approximates the exhaustive optimum of Fig. 15 on small
-// clusters via the exhaustive solver: topK is the per-call shortlist width.
-func BruteForce(e *estimator.Estimator, p *core.Plan, topK int) (*Result, error) {
-	sol, st, err := exhaustiveSolver{}.Solve(context.Background(),
-		Problem{Est: e, Plan: p}, Options{MaxCandidatesPerCall: topK})
-	if err != nil {
-		return nil, err
-	}
-	return resultOf(sol, st), nil
+	return s.Solve(ctx, prob, opt)
 }
 
 // --- candidate space construction, shared by every solver ---
@@ -411,10 +337,7 @@ func (m *enumMemo) microBatchOptions(perDP int) []int {
 // The offload axis: with offloadSearch set, every layout of a frozen role is
 // emitted twice — device-resident and host-offloaded — so every solver
 // (greedy seeding, MCMC redraws, the exhaustive cross product) explores the
-// offload decision. Without it, calls of roles hinted OffloadWhenIdle emit
-// only the offloaded variant, reproducing the historical fixed-input
-// behavior; unhinted calls emit only the resident variant, keeping default
-// solves byte-identical.
+// offload decision. Without it only the resident variant is emitted.
 func candidates(p *core.Plan, call *dfg.Node, lvl PruneLevel, meshes []mesh.Mesh, memo *enumMemo, offloadSearch bool) []core.Assignment {
 	ms := p.Models[call.Role]
 	batch := call.Work.Batch
@@ -467,15 +390,9 @@ func candidates(p *core.Plan, call *dfg.Node, lvl PruneLevel, meshes []mesh.Mesh
 				if memory.Active(spec) > p.Cluster.GPU.MemoryBytes {
 					continue
 				}
-				switch {
-				case offloadSearch && !ms.Trainable:
-					out = append(out, a)
+				out = append(out, a)
+				if offloadSearch && !ms.Trainable {
 					a.Offload = true
-					out = append(out, a)
-				case ms.OffloadWhenIdle && !ms.Trainable:
-					a.Offload = true
-					out = append(out, a)
-				default:
 					out = append(out, a)
 				}
 			}

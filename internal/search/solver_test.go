@@ -121,10 +121,7 @@ func TestGoldenSingleChainPlans(t *testing.T) {
 	}
 	for seed, want := range golden {
 		p, e := newProblem(t, 2, model.LLaMA7B, model.LLaMA7B, 256, 512, 512)
-		res, err := Search(e, p, Options{MaxSteps: 600, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, _ := runMCMC(t, e, p, Options{MaxSteps: 600, Seed: seed})
 		if got := res.Plan.Fingerprint(); got != want {
 			t.Errorf("seed %d: plan drifted from pre-refactor engine:\n  got  %s\n  want %s", seed, got, want)
 		}
@@ -224,10 +221,7 @@ func TestCostCacheHitsAcrossChains(t *testing.T) {
 // memoization path.
 func TestCostCacheConcurrentHammer(t *testing.T) {
 	prob := testProblem(t, 1, 64)
-	seed, err := Greedy(prob.Est, prob.Plan, PruneNone)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seed := greedySeed(t, prob.Est, prob.Plan)
 	sp, err := buildSpace(prob.Est, prob.Plan, Options{}.withDefaults())
 	if err != nil {
 		t.Fatal(err)
@@ -292,10 +286,7 @@ func TestCachedEvaluateMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed, err := Greedy(prob.Est, prob.Plan, PruneNone)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seed := greedySeed(t, prob.Est, prob.Plan)
 	cache := NewCostCache()
 	check := func(p *core.Plan) {
 		t.Helper()
@@ -333,14 +324,14 @@ func TestSolveCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, solver := range []string{"mcmc", "parallel-mcmc", "greedy"} {
-		_, err := Solve(ctx, solver, prob, Options{Seed: 1, MaxSteps: 100000, Chains: 2})
+		_, _, err := Solve(ctx, solver, prob, Options{Seed: 1, MaxSteps: 100000, Chains: 2})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("cancelled %s solve returned %v, want context.Canceled", solver, err)
 		}
 	}
 	// The exhaustive solver must refuse to pass off a partial sweep as the
 	// optimum: cancellation is an error, not a truncated Solution.
-	if _, err := Solve(ctx, "exhaustive", prob, Options{MaxCandidatesPerCall: 3}); err == nil {
+	if _, _, err := Solve(ctx, "exhaustive", prob, Options{MaxCandidatesPerCall: 3}); err == nil {
 		t.Error("cancelled exhaustive sweep must return an error")
 	}
 }

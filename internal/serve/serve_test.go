@@ -384,6 +384,10 @@ func TestErrorTaxonomyMapping(t *testing.T) {
 	if _, err := client.Do(ctx, &PlanRequest{Algo: "alignprop"}); !errors.Is(err, realhf.ErrInvalidConfig) || status(err) != http.StatusBadRequest {
 		t.Errorf("unknown algo: %v, want 400 wrapping ErrInvalidConfig", err)
 	}
+	// Negative search step bound.
+	if _, err := client.Plan(ctx, testConfig(6, -1), nil); !errors.Is(err, realhf.ErrInvalidConfig) || status(err) != http.StatusBadRequest {
+		t.Errorf("negative search_steps: %v, want 400 wrapping ErrInvalidConfig", err)
+	}
 	// Non-positive calibration factor.
 	if _, err := client.Plan(ctx, testConfig(6, 200), map[string]float64{"actor/GENERATE": -1}); !errors.Is(err, realhf.ErrInvalidConfig) {
 		t.Errorf("negative calibration factor: %v, want ErrInvalidConfig", err)

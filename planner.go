@@ -355,7 +355,7 @@ func (p *Planner) Plan(ctx context.Context, cfg ExperimentConfig, opts ...AutoOp
 	}
 	seeds = append(seeds, o.warmStarts...)
 	sol, stats, err := solver.Solve(ctx,
-		search.Problem{Est: ps.est, Plan: plan, Overlap: cfg.PlanForOverlap},
+		search.Problem{Est: ps.est, Plan: plan},
 		search.Options{
 			MaxSteps:       cfg.SearchSteps,
 			TimeLimit:      cfg.SearchTime,
@@ -479,8 +479,8 @@ func (p *Planner) loadExperiment(data []byte, label string, cfg ExperimentConfig
 	}
 	loaded, err := core.UnmarshalPlan(data, g)
 	if err != nil {
-		// Malformed or invalid stored plans (including an OffloadWhenIdle
-		// hint on a trainable role) are config errors: retrying the identical
+		// Malformed or invalid stored plans (including a legacy
+		// offload_when_idle flag on a trainable role) are config errors: retrying the identical
 		// request can never succeed, so serve maps them to HTTP 400.
 		return nil, fmt.Errorf("realhf: plan %s: %w: %w", label, err, ErrInvalidConfig)
 	}

@@ -193,6 +193,9 @@ func (c ExperimentConfig) validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("realhf: Nodes must be positive: %w", ErrInvalidConfig)
 	}
+	if c.SearchSteps < 0 {
+		return fmt.Errorf("realhf: SearchSteps must not be negative (got %d): %w", c.SearchSteps, ErrInvalidConfig)
+	}
 	return nil
 }
 
