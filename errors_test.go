@@ -40,6 +40,27 @@ func TestErrorTaxonomy(t *testing.T) {
 		t.Errorf("negative SearchSteps: %v, want wrapped ErrInvalidConfig", err)
 	}
 	cancelNeg()
+	// So are negative sizes and a negative time bound (withDefaults has
+	// already filled the zeros): a negative GPUsPerNode would panic in the
+	// estimator, other sizes would plan a nonsense workload.
+	for _, tc := range []struct {
+		field string
+		set   func(*ExperimentConfig)
+	}{
+		{"GPUsPerNode", func(c *ExperimentConfig) { c.GPUsPerNode = -8 }},
+		{"BatchSize", func(c *ExperimentConfig) { c.BatchSize = -5 }},
+		{"PromptLen", func(c *ExperimentConfig) { c.PromptLen = -1 }},
+		{"GenLen", func(c *ExperimentConfig) { c.GenLen = -100 }},
+		{"MiniBatches", func(c *ExperimentConfig) { c.MiniBatches = -2 }},
+		{"Iterations", func(c *ExperimentConfig) { c.Iterations = -1 }},
+		{"SearchTime", func(c *ExperimentConfig) { c.SearchTime = -time.Second }},
+	} {
+		cfg := fastConfig()
+		tc.set(&cfg)
+		if _, err := p.Plan(ctx, cfg); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("negative %s: %v, want wrapped ErrInvalidConfig", tc.field, err)
+		}
+	}
 	if _, err := p.Plan(ctx, fastConfig(), WithCalibrationFactors(map[string]float64{"actor/GENERATE": -1})); !errors.Is(err, ErrInvalidConfig) {
 		t.Errorf("negative calibration factor: %v, want wrapped ErrInvalidConfig", err)
 	}

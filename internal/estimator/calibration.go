@@ -95,16 +95,11 @@ func (c *Calibration) Factors() map[string]float64 {
 }
 
 // Key returns the calibration's canonical fingerprint ("" for nil): the
-// token caches and planner sessions append to their problem and plan keys so
-// calibrated estimates never alias uncalibrated (or differently calibrated)
-// ones.
+// token the planner appends to its problem and plan keys so calibrated
+// estimates never alias uncalibrated (or differently calibrated) ones.
 func (c *Calibration) Key() string {
 	if c == nil {
 		return ""
 	}
 	return c.key
 }
-
-// CalibrationKey is the estimator's attached-calibration fingerprint (""
-// when none) — the cache-isolation token mirrored by search.CostCache.
-func (e *Estimator) CalibrationKey() string { return e.Calib.Key() }

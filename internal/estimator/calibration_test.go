@@ -48,8 +48,8 @@ func TestCalibrationIdentity(t *testing.T) {
 	if calibrated.TimeCost != base.TimeCost || calibrated.Cost != base.Cost {
 		t.Fatalf("nil calibration changed the estimate: %v vs %v", calibrated.TimeCost, base.TimeCost)
 	}
-	if e.CalibrationKey() != "" {
-		t.Fatalf("nil calibration key = %q, want empty", e.CalibrationKey())
+	if e.Calib.Key() != "" {
+		t.Fatalf("nil calibration key = %q, want empty", e.Calib.Key())
 	}
 }
 
@@ -79,9 +79,9 @@ func TestCalibrationScalesCallDurations(t *testing.T) {
 	}
 }
 
-// TestCalibrationKeyCanonical: key is order-independent, distinguishes
+// TestCalibrationCanonicalKey: key is order-independent, distinguishes
 // factor sets, and With derives immutably.
-func TestCalibrationKeyCanonical(t *testing.T) {
+func TestCalibrationCanonicalKey(t *testing.T) {
 	a := NewCalibration(map[string]float64{"A": 1.5, "B": 0.5})
 	b := NewCalibration(map[string]float64{"B": 0.5, "A": 1.5})
 	if a.Key() != b.Key() || a.Key() == "" {

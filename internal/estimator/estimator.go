@@ -42,9 +42,9 @@ type Estimator struct {
 	// Calib layers profile feedback over the pure cost model: NodeDuration
 	// multiplies each call node's analytic duration by the calibration's
 	// per-call factor. nil (the default) is the identity — existing
-	// estimates, searches and golden plans are byte-identical. Caches keyed
-	// on estimates must fold CalibrationKey into their keys (search.CostCache
-	// does), so calibrated problems never poison uncalibrated ones.
+	// estimates, searches and golden plans are byte-identical. A cache of
+	// estimates must be bound to one estimator (search.CostCache is), so
+	// calibrated problems never poison uncalibrated ones.
 	Calib *Calibration
 }
 
@@ -83,16 +83,17 @@ func (e *Estimator) CallBreakdown(p *core.Plan, n *dfg.Node) (gpumodel.Breakdown
 	return gpumodel.AssembleCall(mc, e.Comm, spec), nil
 }
 
-// DurationFunc costs one augmented-graph node under a plan. Implementations
-// must be pure with respect to the plan and node (no retained references, no
-// mutation) so that Evaluate stays safe for concurrent use.
+// DurationFunc costs one augmented-graph node under a plan: the coster an
+// EvalSession calls on memo misses. Implementations must be pure functions
+// of the node's cost inputs (no retained references, no mutation), because
+// the session memoizes their results.
 type DurationFunc func(p *core.Plan, n *core.AugNode) (float64, error)
 
 // NodeDuration estimates one augmented-graph node. It is the estimator's
 // default DurationFunc: a pure function of the plan and node that touches
 // only immutable estimator state (cost tables, hardware model), so it is
-// safe to call from concurrent search chains. The search layer wraps it
-// with a memoizing cache keyed by (call, mesh, strategy).
+// safe to call from concurrent search chains. EvalSession memoizes it per
+// chain, keyed by each node's cost inputs.
 func (e *Estimator) NodeDuration(p *core.Plan, n *core.AugNode) (float64, error) {
 	switch n.Kind {
 	case core.KindCall:
@@ -237,15 +238,6 @@ func (q *readyQueue) pop() readyItem {
 // search cost. It is pure and race-free: concurrent Evaluate calls on
 // distinct plan clones never interfere.
 func (e *Estimator) Evaluate(p *core.Plan) (*Result, error) {
-	return e.EvaluateWith(p, e.NodeDuration)
-}
-
-// EvaluateWith is Evaluate with an injected node coster — the hook the
-// search layer's shared cost cache uses to memoize per-call durations
-// across chains. The returned Result must be treated as immutable by
-// callers: the cache hands the same pointer to every chain that revisits a
-// plan fingerprint.
-func (e *Estimator) EvaluateWith(p *core.Plan, dur DurationFunc) (*Result, error) {
 	g, err := p.BuildAugGraph()
 	if err != nil {
 		return nil, err
@@ -255,7 +247,7 @@ func (e *Estimator) EvaluateWith(p *core.Plan, dur DurationFunc) (*Result, error
 	}
 	durations := make([]float64, len(g.Nodes))
 	for _, n := range g.Nodes {
-		d, err := dur(p, n)
+		d, err := e.NodeDuration(p, n)
 		if err != nil {
 			return nil, err
 		}

@@ -34,7 +34,7 @@ type SessionStats struct {
 	// NodeLookups counts augmented-graph node costings across all evals.
 	NodeLookups int64
 	// NodeRecosts counts lookups that missed the session-local duration memo
-	// and had to be recomputed (or fetched from the shared fallback). After a
+	// and had to be recomputed (by the session's fallback coster). After a
 	// single-call mutation only the nodes whose inputs changed recost.
 	NodeRecosts int64
 }
@@ -42,17 +42,16 @@ type SessionStats struct {
 // callDurKey identifies a call node's duration inputs: within one problem a
 // call name fixes (role, type, workload, model), so the duration varies only
 // with the assignment. The session is bound to one estimator, so the
-// calibration is fixed and needs no key component (the shared CostCache,
-// which outlives estimators, keys it explicitly).
+// calibration is fixed and needs no key component.
 type callDurKey struct {
 	name string
 	a    core.Assignment
 }
 
-// commDurKey identifies a transfer-style node's duration inputs, mirroring
-// search.CostCache's node keys: (kind, role, bytes, src, dst). The role pins
-// the model config a realloc schedule depends on; data transfers leave it
-// empty, exactly like the augmented-graph builder.
+// commDurKey identifies a transfer-style node's duration inputs: (kind,
+// role, bytes, src, dst). The role pins the model config a realloc schedule
+// depends on; data transfers leave it empty, exactly like the
+// augmented-graph builder.
 type commDurKey struct {
 	kind     core.Kind
 	role     dfg.Role
@@ -136,10 +135,9 @@ type activeKey struct {
 //     recosts the mutated call and its induced realloc/transfer neighbors;
 //   - the Algorithm 1 simulation runs over scratch buffers.
 //
-// A session is single-goroutine state (each search chain owns one). Cross-
-// chain sharing happens through the fallback DurationFunc, typically
-// search.CostCache's memoized node coster, which the session consults on
-// local misses.
+// A session is single-goroutine state (each search chain owns one) and
+// shares no memo with other sessions; search chains share scored plans
+// through search.CostCache instead.
 //
 // Contract: evaluated plans must assign every call an individually legal
 // (mesh, strategy) — the solver candidate sets guarantee this — because the
@@ -190,9 +188,8 @@ type EvalSession struct {
 }
 
 // NewSession builds an incremental evaluation session over the estimator.
-// fallback, when non-nil, is consulted on session-local duration misses —
-// pass search.CostCache's node coster to share durations across chains; nil
-// uses the estimator's NodeDuration directly.
+// fallback, when non-nil, costs nodes on session-local duration misses in
+// place of the estimator's NodeDuration (the nil default).
 func (e *Estimator) NewSession(fallback DurationFunc) *EvalSession {
 	if fallback == nil {
 		fallback = e.NodeDuration
@@ -310,8 +307,8 @@ func sigOf(p *core.Plan, n *core.AugNode) nodeSig {
 }
 
 // duration memoizes one arena node's duration in the session-local maps,
-// consulting the shared fallback only on a local miss. The keys mirror
-// search.CostCache's node keys, so an entry is invalidated exactly when a
+// consulting the fallback only on a local miss. The keys hold exactly the
+// node's cost inputs, so an entry is invalidated exactly when a
 // mutation changes the node's cost inputs: a call node by its assignment, a
 // transfer-style node by its (kind, role, bytes, endpoints). sig must be
 // sigOf(p, n); its fields double as the map keys.

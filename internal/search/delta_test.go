@@ -40,13 +40,14 @@ func deltaVariants(t *testing.T, e *estimator.Estimator) map[string]*estimator.E
 	return out
 }
 
-// mutatePlans drives one (session, estimator) pair through a randomized
-// mutation walk: random full re-assignments followed by runs of single-call
-// mutations, asserting after every step that the incremental evaluation
-// equals a from-scratch Estimator.Evaluate field for field, bit for bit.
-// Failures are reported with Errorf (never FailNow), so the walk is safe to
-// run from spawned goroutines.
-func mutatePlans(t *testing.T, e *estimator.Estimator, sess *estimator.EvalSession,
+// mutatePlans drives one incremental coster (an EvalSession or a
+// planEvaluator over the estimator) through a randomized mutation walk:
+// random full re-assignments followed by runs of single-call mutations,
+// asserting after every step that the incremental evaluation equals a
+// from-scratch Estimator.Evaluate field for field, bit for bit. Failures
+// are reported with Errorf (never FailNow), so the walk is safe to run from
+// spawned goroutines.
+func mutatePlans(t *testing.T, e *estimator.Estimator, cost func(*core.Plan) (estimator.PlanCost, error),
 	p *core.Plan, sets map[string][]core.Assignment, seed int64, trials, muts int) {
 	t.Helper()
 	names := p.CallNames()
@@ -63,9 +64,9 @@ func mutatePlans(t *testing.T, e *estimator.Estimator, sess *estimator.EvalSessi
 				cs := sets[n]
 				plan.Assign[n] = cs[rng.Intn(len(cs))]
 			}
-			got, err := sess.Evaluate(plan)
+			got, err := cost(plan)
 			if err != nil {
-				t.Errorf("trial %d mut %d: session: %v", trial, mut, err)
+				t.Errorf("trial %d mut %d: incremental: %v", trial, mut, err)
 				return
 			}
 			full, err := e.Evaluate(plan)
@@ -94,9 +95,8 @@ func TestDeltaCostingMatchesFullEvaluate(t *testing.T) {
 	}
 	for name, ev := range deltaVariants(t, e) {
 		t.Run(name, func(t *testing.T) {
-			cache := NewCostCache()
-			sess := ev.NewSession(cache.DurationFunc(ev))
-			mutatePlans(t, ev, sess, p, sets, 11, 6, 20)
+			sess := ev.NewSession(nil)
+			mutatePlans(t, ev, sess.Evaluate, p, sets, 11, 6, 20)
 			if st := sess.Stats(); st.NodeRecosts >= st.NodeLookups {
 				t.Errorf("session never reused a node duration: %+v", st)
 			}
@@ -128,46 +128,56 @@ func TestDeltaCostingOffloadFlips(t *testing.T) {
 	}
 	for name, ev := range deltaVariants(t, e) {
 		t.Run(name, func(t *testing.T) {
-			cache := NewCostCache()
-			sess := ev.NewSession(cache.DurationFunc(ev))
-			mutatePlans(t, ev, sess, p, sets, 23, 6, 20)
+			mutatePlans(t, ev, ev.NewSession(nil).Evaluate, p, sets, 23, 6, 20)
 		})
 	}
 }
 
-// TestDeltaCostingDirectFallback covers the cache-free configuration: a
-// session with a nil fallback (estimator.NodeDuration directly) must agree
-// with full evaluation just the same.
+// TestDeltaCostingDirectFallback repeats the differential property on a
+// second problem shape — two nodes, aggressively pruned candidates — with
+// the session costing nodes through estimator.NodeDuration directly.
 func TestDeltaCostingDirectFallback(t *testing.T) {
 	p, e := newProblem(t, 2, model.LLaMA7B, model.LLaMA7B, 128, 256, 256)
 	sets, _, err := candidateSets(p, PruneAggressive, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := e.NewSession(nil)
-	mutatePlans(t, e, sess, p, sets, 5, 4, 15)
+	mutatePlans(t, e, e.NewSession(nil).Evaluate, p, sets, 5, 4, 15)
 }
 
-// TestDeltaCostingConcurrentSharedCache runs several sessions on concurrent
-// goroutines against one shared CostCache — the parallel-mcmc topology —
-// each verifying the differential property on its own mutation walk. Run
-// under -race this checks the session/cache concurrency contract: sessions
-// are chain-local, the cache underneath is shared.
+// TestDeltaCostingConcurrentSharedCache runs several planEvaluators on
+// concurrent goroutines against one shared CostCache — the parallel-mcmc
+// topology — each verifying the differential property on a mutation walk.
+// Every walk runs on two goroutines at once, so chains race to fill and
+// read the same plan-cost entries. Run under -race this checks the
+// evaluator/cache concurrency contract: sessions are chain-local, the
+// cache underneath is shared.
 func TestDeltaCostingConcurrentSharedCache(t *testing.T) {
 	p, e := newProblem(t, 1, model.LLaMA7B, model.LLaMA7B, 64, 256, 256)
 	sets, _, err := candidateSets(p, PruneModerate, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewCostCache()
+	const walks, trials, muts = 4, 3, 15
+	cache := NewCostCache(e)
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < 2*walks; g++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()
-			sess := e.NewSession(cache.DurationFunc(e))
-			mutatePlans(t, e, sess, p, sets, seed, 3, 15)
-		}(int64(g + 1))
+			ev := newPlanEvaluator(cache, p)
+			mutatePlans(t, e, ev.cost, p, sets, seed, trials, muts)
+		}(int64(g%walks + 1))
 	}
 	wg.Wait()
+	if n := cache.Hits() + cache.Misses(); n != 2*walks*trials*muts {
+		t.Errorf("cache saw %d plan-cost lookups, want %d", n, 2*walks*trials*muts)
+	}
+	// A replayed walk on a fresh evaluator is answered entirely from the
+	// shared index, and still matches full evaluation.
+	hits := cache.Hits()
+	mutatePlans(t, e, newPlanEvaluator(cache, p).cost, p, sets, 1, trials, muts)
+	if got := cache.Hits() - hits; got != trials*muts {
+		t.Errorf("replayed walk hit the shared cache %d times, want %d", got, trials*muts)
+	}
 }

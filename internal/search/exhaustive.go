@@ -22,6 +22,10 @@ func (exhaustiveSolver) Name() string { return "exhaustive" }
 
 func (exhaustiveSolver) Solve(ctx context.Context, prob Problem, opt Options) (Solution, Stats, error) {
 	e, p := prob.Est, prob.Plan
+	cache, err := cacheFor(opt.Cache, e)
+	if err != nil {
+		return Solution{}, Stats{}, err
+	}
 	topK := opt.MaxCandidatesPerCall
 	if topK <= 0 {
 		topK = 6
@@ -40,12 +44,8 @@ func (exhaustiveSolver) Solve(ctx context.Context, prob Problem, opt Options) (S
 		short[i] = listed[name]
 	}
 
-	cache := opt.Cache
-	if cache == nil {
-		cache = NewCostCache()
-	}
 	hits0, misses0 := cache.Hits(), cache.Misses()
-	ev := newPlanEvaluator(e, cache, p)
+	ev := newPlanEvaluator(cache, p)
 
 	start := time.Now() //lint:realvet wallclock -- TimeLimit budget and Elapsed trace are wall-clock features; plan bytes never depend on them
 	best := math.Inf(1)
@@ -97,7 +97,7 @@ func (exhaustiveSolver) Solve(ctx context.Context, prob Problem, opt Options) (S
 	if bestPlan == nil {
 		return Solution{}, Stats{}, fmt.Errorf("search: brute force found no feasible plan")
 	}
-	bestRes, err := cache.Evaluate(e, bestPlan)
+	bestRes, err := cache.Evaluate(bestPlan)
 	if err != nil {
 		return Solution{}, Stats{}, err
 	}

@@ -49,6 +49,10 @@ func (greedySolver) Solve(ctx context.Context, prob Problem, opt Options) (Solut
 		return Solution{}, Stats{}, fmt.Errorf("search: greedy solve cancelled: %w", err)
 	}
 	e := prob.Est
+	cache, err := cacheFor(opt.Cache, e)
+	if err != nil {
+		return Solution{}, Stats{}, err
+	}
 	sets, spaceLog10, err := candidateSets(prob.Plan, opt.Prune, opt.OffloadSearch)
 	if err != nil {
 		return Solution{}, Stats{}, err
@@ -57,12 +61,8 @@ func (greedySolver) Solve(ctx context.Context, prob Problem, opt Options) (Solut
 	if err != nil {
 		return Solution{}, Stats{}, err
 	}
-	cache := opt.Cache
-	if cache == nil {
-		cache = NewCostCache()
-	}
 	hits0, misses0 := cache.Hits(), cache.Misses()
-	res, err := cache.Evaluate(e, plan)
+	res, err := cache.Evaluate(plan)
 	if err != nil {
 		return Solution{}, Stats{}, err
 	}

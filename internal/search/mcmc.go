@@ -258,6 +258,10 @@ func solveMCMC(ctx context.Context, prob Problem, opt Options, chains int) (Solu
 	opt = opt.withDefaults()
 	start := time.Now() //lint:realvet wallclock -- anchors the TimeLimit budget and Elapsed trace, never plan content
 	e, p := prob.Est, prob.Plan
+	cache, err := cacheFor(opt.Cache, e)
+	if err != nil {
+		return Solution{}, Stats{}, err
+	}
 
 	if err := ctx.Err(); err != nil {
 		return Solution{}, Stats{}, fmt.Errorf("search: mcmc solve cancelled before candidate enumeration: %w", err)
@@ -269,16 +273,12 @@ func solveMCMC(ctx context.Context, prob Problem, opt Options, chains int) (Solu
 	if err := ctx.Err(); err != nil {
 		return Solution{}, Stats{}, fmt.Errorf("search: mcmc solve cancelled before the first proposal: %w", err)
 	}
-	cache := opt.Cache
-	if cache == nil {
-		cache = NewCostCache()
-	}
 	hits0, misses0 := cache.Hits(), cache.Misses()
 	// One incremental evaluator per chain: sessions are single-goroutine,
 	// and all cross-chain reuse flows through the shared cache.
 	evs := make([]*planEvaluator, chains)
 	for i := range evs {
-		evs[i] = newPlanEvaluator(e, cache, p)
+		evs[i] = newPlanEvaluator(cache, p)
 	}
 
 	cur, curPC, err := startState(evs[0], e, p, sp, opt)
@@ -354,7 +354,7 @@ func solveMCMC(ctx context.Context, prob Problem, opt Options, chains int) (Solu
 	// The chains only ever tracked compact costs; materialize the winner's
 	// full Result (timeline, call times) once. Its Cost is bit-identical to
 	// the compact score the chain accepted on.
-	winRes, err := cache.Evaluate(e, winner.best)
+	winRes, err := cache.Evaluate(winner.best)
 	if err != nil {
 		return Solution{}, Stats{}, err
 	}

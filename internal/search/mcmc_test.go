@@ -50,8 +50,7 @@ func TestExchangeRescalesAdaptiveBeta(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewCostCache()
-	ev := newPlanEvaluator(prob.Est, cache, prob.Plan)
+	ev := newPlanEvaluator(NewCostCache(prob.Est), prob.Plan)
 	good, goodPC, err := startState(ev, prob.Est, prob.Plan, sp, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -211,22 +210,22 @@ func reallocHeavyPlan(t *testing.T, prob Problem) *core.Plan {
 	return seed
 }
 
-// TestCostCacheKeysBySchedule: one shared cache serving a serialized and an
-// overlapped estimator must keep separate plan-level entries — before the
-// semantics key, the second caller read the first caller's makespan
-// (cache poisoning).
+// TestCostCacheKeysBySchedule: a serialized and an overlapped estimator each
+// get their own cache, so one plan's two makespans live in separate entries
+// and a re-lookup reads back its own semantics' entry — never the other
+// estimator's makespan (cache poisoning).
 func TestCostCacheKeysBySchedule(t *testing.T) {
 	prob := testProblem(t, 2, 256)
 	plan := reallocHeavyPlan(t, prob)
 	over := *prob.Est
 	over.OverlapComm = true
 
-	cache := NewCostCache()
-	rs, err := cache.Evaluate(prob.Est, plan)
+	serial, overlapped := NewCostCache(prob.Est), NewCostCache(&over)
+	rs, err := serial.Evaluate(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro, err := cache.Evaluate(&over, plan)
+	ro, err := overlapped.Evaluate(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,14 +234,16 @@ func TestCostCacheKeysBySchedule(t *testing.T) {
 			ro.TimeCost, rs.TimeCost)
 	}
 	// Re-lookups must hit their own semantics' entry.
-	if again, _ := cache.Evaluate(prob.Est, plan); again != rs {
+	if again, _ := serial.Evaluate(plan); again != rs {
 		t.Error("serialized entry not cached/stable")
 	}
-	if again, _ := cache.Evaluate(&over, plan); again != ro {
+	if again, _ := overlapped.Evaluate(plan); again != ro {
 		t.Error("overlapped entry not cached/stable")
 	}
-	if cache.Hits() != 2 || cache.Misses() != 2 {
-		t.Errorf("want 2 hits / 2 misses, got %d/%d", cache.Hits(), cache.Misses())
+	for name, c := range map[string]*CostCache{"serialized": serial, "overlapped": overlapped} {
+		if c.Hits() != 1 || c.Misses() != 1 {
+			t.Errorf("%s cache: want 1 hit / 1 miss, got %d/%d", name, c.Hits(), c.Misses())
+		}
 	}
 }
 

@@ -100,19 +100,19 @@ func TestCostCacheOffloadDistinct(t *testing.T) {
 		t.Fatal("offload-distinct plans share a fingerprint")
 	}
 
-	cache := NewCostCache()
-	r1, err := cache.Evaluate(e, seed)
+	cache := NewCostCache(e)
+	r1, err := cache.Evaluate(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := cache.Evaluate(e, off)
+	r2, err := cache.Evaluate(off)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r2.MaxMem >= r1.MaxMem {
 		t.Errorf("offloading every frozen call did not reduce peak memory: %d vs %d", r2.MaxMem, r1.MaxMem)
 	}
-	again, err := cache.Evaluate(e, seed)
+	again, err := cache.Evaluate(seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,7 @@ import (
 // for delta re-costing plus the shared CostCache's compact plan-cost index.
 // Plans any chain has scored before are served from the cache without
 // touching the estimator; brand-new plans pay only for the augmented-graph
-// nodes their last mutation changed, with node durations shared across
-// chains through the cache's node-level memo.
+// nodes their last mutation changed, memoized in the chain's own session.
 //
 // A planEvaluator is single-goroutine state (each chain owns one); all
 // cross-chain sharing happens through the concurrency-safe cache underneath.
@@ -21,36 +20,22 @@ type planEvaluator struct {
 	sess  *estimator.EvalSession
 	names []string // sorted call names, fixed per problem
 	buf   []byte   // reusable key buffer
-	fixed int      // length of the semantics prefix in buf
 }
 
-func newPlanEvaluator(e *estimator.Estimator, cache *CostCache, p *core.Plan) *planEvaluator {
+func newPlanEvaluator(cache *CostCache, p *core.Plan) *planEvaluator {
 	names := p.CallNames()
 	sort.Strings(names)
-	ev := &planEvaluator{
+	return &planEvaluator{
 		cache: cache,
-		sess:  e.NewSession(cache.DurationFunc(e)),
+		sess:  cache.est.NewSession(nil),
 		names: names,
 	}
-	// Mirror CostCache.Evaluate's key semantics: calibration and overlap
-	// prefixes keep differently-costed evaluations of one plan from
-	// aliasing. The prefix is fixed per evaluator, so it is built once.
-	if ck := e.CalibrationKey(); ck != "" {
-		ev.buf = append(ev.buf, "calib="...)
-		ev.buf = append(ev.buf, ck...)
-		ev.buf = append(ev.buf, '|')
-	}
-	if e.OverlapComm {
-		ev.buf = append(ev.buf, "overlap|"...)
-	}
-	ev.fixed = len(ev.buf)
-	return ev
 }
 
-// key appends the plan's canonical fingerprint (same encoding as
-// core.Plan.Fingerprint) to the semantics prefix in the reusable buffer.
+// key writes the plan's canonical fingerprint (same encoding as
+// core.Plan.Fingerprint) into the reusable buffer.
 func (ev *planEvaluator) key(p *core.Plan) []byte {
-	b := ev.buf[:ev.fixed]
+	b := ev.buf[:0]
 	for _, name := range ev.names {
 		b = append(b, name...)
 		b = append(b, '=')

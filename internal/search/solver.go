@@ -3,8 +3,8 @@
 // Metropolis–Hastings MCMC walker, a parallel multi-chain MCMC solver with
 // periodic best-plan exchange, and a bounded exhaustive search used as the
 // optimality reference of Fig. 15. All solvers share a concurrency-safe
-// memoized cost cache keyed by canonical plan fingerprints, so no
-// (mesh, strategy, call) cost is estimated twice across chains.
+// memoized cost cache keyed by canonical plan fingerprints, so no plan is
+// costed twice across chains or solves.
 package search
 
 import (
@@ -155,9 +155,8 @@ type Options struct {
 	ExchangeEvery int
 	// Cache optionally shares a cost cache across solver invocations (e.g.
 	// re-planning the same problem with different solvers). When nil each
-	// solve allocates its own. Plan-level entries are keyed by the cost
-	// semantics in use, so one cache may safely serve both serialized and
-	// overlap-aware (Estimator.OverlapComm) solves of the same problem.
+	// solve allocates its own. A non-nil cache must have been built for
+	// Problem.Est (NewCostCache(prob.Est)); the solvers reject any other.
 	Cache *CostCache
 	// OffloadSearch makes host offload a searched plan dimension: candidate
 	// enumeration emits an offloaded variant of every frozen-role assignment,

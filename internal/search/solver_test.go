@@ -238,7 +238,7 @@ func TestCostCacheConcurrentHammer(t *testing.T) {
 			variants = append(variants, v)
 		}
 	}
-	cache := NewCostCache()
+	cache := NewCostCache(prob.Est)
 	want := make([]float64, len(variants))
 	for i, v := range variants {
 		r, err := prob.Est.Evaluate(v)
@@ -255,7 +255,7 @@ func TestCostCacheConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
 				for i, v := range variants {
-					r, err := cache.Evaluate(prob.Est, v)
+					r, err := cache.Evaluate(v)
 					if err != nil {
 						errs <- err
 						return
@@ -279,7 +279,8 @@ func TestCostCacheConcurrentHammer(t *testing.T) {
 }
 
 // TestCachedEvaluateMatchesDirect: the memoized path must reproduce the
-// direct estimator exactly, including the per-node memoization layer.
+// direct estimator exactly, on the miss that fills an entry and on the hit
+// that reads it back.
 func TestCachedEvaluateMatchesDirect(t *testing.T) {
 	prob := testProblem(t, 2, 256)
 	sp, err := buildSpace(prob.Est, prob.Plan, Options{}.withDefaults())
@@ -287,7 +288,7 @@ func TestCachedEvaluateMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := greedySeed(t, prob.Est, prob.Plan)
-	cache := NewCostCache()
+	cache := NewCostCache(prob.Est)
 	check := func(p *core.Plan) {
 		t.Helper()
 		direct, err := prob.Est.Evaluate(p)
@@ -295,8 +296,8 @@ func TestCachedEvaluateMatchesDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		var cached *estimator.Result
-		for i := 0; i < 2; i++ { // second round exercises both cache levels
-			cached, err = cache.Evaluate(prob.Est, p)
+		for i := 0; i < 2; i++ { // miss, then hit
+			cached, err = cache.Evaluate(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,8 +308,7 @@ func TestCachedEvaluateMatchesDirect(t *testing.T) {
 		}
 	}
 	check(seed)
-	// Mutate one call at a time so node-level entries are shared across
-	// plan-level misses.
+	// Mutate one call at a time: each variant is a fresh plan-level miss.
 	for _, name := range sp.names {
 		v := seed.Clone()
 		v.Assign[name] = sp.sets[name][len(sp.sets[name])/2]
@@ -333,5 +333,32 @@ func TestSolveCancellation(t *testing.T) {
 	// optimum: cancellation is an error, not a truncated Solution.
 	if _, _, err := Solve(ctx, "exhaustive", prob, Options{MaxCandidatesPerCall: 3}); err == nil {
 		t.Error("cancelled exhaustive sweep must return an error")
+	}
+}
+
+// TestSolversRejectForeignCache: a cache is bound to the estimator it was
+// built for, so every solver must refuse an Options.Cache built for another
+// estimator — even an identical-looking copy — instead of mixing one
+// estimator's plan costs into another's search. A cache built for the
+// problem's own estimator is accepted and shared.
+func TestSolversRejectForeignCache(t *testing.T) {
+	prob := testProblem(t, 1, 64)
+	other := *prob.Est
+	for _, name := range Names() {
+		opt := Options{Seed: 1, MaxSteps: 50, Chains: 2, MaxCandidatesPerCall: 2}
+		opt.Cache = NewCostCache(&other)
+		if _, _, err := Solve(context.Background(), name, prob, opt); !errors.Is(err, errForeignCache) {
+			t.Errorf("%s with a foreign cache returned %v, want errForeignCache", name, err)
+		}
+		if opt.Cache.Hits()+opt.Cache.Misses() != 0 {
+			t.Errorf("%s used the foreign cache before rejecting it", name)
+		}
+		opt.Cache = NewCostCache(prob.Est)
+		if _, _, err := Solve(context.Background(), name, prob, opt); err != nil {
+			t.Errorf("%s with its own estimator's cache: %v", name, err)
+		}
+		if opt.Cache.Misses() == 0 {
+			t.Errorf("%s did not use the cache it was given", name)
+		}
 	}
 }

@@ -388,6 +388,44 @@ func TestErrorTaxonomyMapping(t *testing.T) {
 	if _, err := client.Plan(ctx, testConfig(6, -1), nil); !errors.Is(err, realhf.ErrInvalidConfig) || status(err) != http.StatusBadRequest {
 		t.Errorf("negative search_steps: %v, want 400 wrapping ErrInvalidConfig", err)
 	}
+	// Negative sizes and time bounds are 400s, and the server keeps
+	// answering: unvalidated, gpus_per_node -8 panics on the solve
+	// goroutine and takes the whole server down.
+	{
+		body := `{"algo":"ppo","actor_type":"llama7b","critic_type":"llama7b-critic",` +
+			`"config":{"nodes":1,"gpus_per_node":-8,"batch_size":64,"prompt_len":256,"gen_len":256,"search_steps":50}}`
+		resp, err := http.Post(hs.URL+PathPlan, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wire ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&wire)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || wire.Code != CodeInvalidConfig {
+			t.Errorf("gpus_per_node -8: HTTP %d code %q (decode err %v), want 400 %s",
+				resp.StatusCode, wire.Code, err, CodeInvalidConfig)
+		}
+	}
+	for _, tc := range []struct {
+		field string
+		set   func(*realhf.ExperimentConfig)
+	}{
+		{"batch_size", func(c *realhf.ExperimentConfig) { c.BatchSize = -5 }},
+		{"prompt_len", func(c *realhf.ExperimentConfig) { c.PromptLen = -1 }},
+		{"gen_len", func(c *realhf.ExperimentConfig) { c.GenLen = -100 }},
+		{"mini_batches", func(c *realhf.ExperimentConfig) { c.MiniBatches = -2 }},
+		{"iterations", func(c *realhf.ExperimentConfig) { c.Iterations = -1 }},
+		{"search_time_ns", func(c *realhf.ExperimentConfig) { c.SearchTime = -time.Second }},
+	} {
+		cfg := testConfig(6, 50)
+		tc.set(&cfg)
+		if _, err := client.Plan(ctx, cfg, nil); !errors.Is(err, realhf.ErrInvalidConfig) || status(err) != http.StatusBadRequest {
+			t.Errorf("negative %s: %v, want 400 wrapping ErrInvalidConfig", tc.field, err)
+		}
+	}
+	if _, err := client.Plan(ctx, testConfig(6, 50), nil); err != nil {
+		t.Fatalf("server stopped answering after the rejected requests: %v", err)
+	}
 	// Non-positive calibration factor.
 	if _, err := client.Plan(ctx, testConfig(6, 200), map[string]float64{"actor/GENERATE": -1}); !errors.Is(err, realhf.ErrInvalidConfig) {
 		t.Errorf("negative calibration factor: %v, want ErrInvalidConfig", err)

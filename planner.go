@@ -74,9 +74,9 @@ type costerKey struct {
 
 // problemState is what the planner keeps per distinct problem: the
 // estimator over the problem's role→coster mapping and the memoized cost
-// cache every request for this problem shares. (A CostCache is scoped to
-// one problem/estimator pair — see its contract — which is exactly the
-// granularity of this pool.)
+// cache every request for this problem shares. (A CostCache is bound to
+// its estimator and scoped to one problem — see its contract — which is
+// exactly the granularity of this pool.)
 type problemState struct {
 	est   *estimator.Estimator
 	cache *search.CostCache
@@ -442,7 +442,7 @@ func (p *Planner) Heuristic(cfg ExperimentConfig, opts ...AutoOption) (*Experime
 	if err != nil {
 		return nil, err
 	}
-	res, err := ps.cache.Evaluate(ps.est, plan)
+	res, err := ps.cache.Evaluate(plan)
 	if err != nil {
 		return nil, err
 	}
@@ -500,7 +500,7 @@ func (p *Planner) loadExperiment(data []byte, label string, cfg ExperimentConfig
 	for name, a := range loaded.Assign {
 		plan.Assign[name] = a
 	}
-	res, err := ps.cache.Evaluate(ps.est, plan)
+	res, err := ps.cache.Evaluate(plan)
 	if err != nil {
 		return nil, err
 	}
@@ -616,7 +616,7 @@ func (p *Planner) problemFor(cfg ExperimentConfig, calib *estimator.Calibration)
 	// the flag, so the serialized twin keeps its own estimator and cache.
 	est.OverlapComm = cfg.PlanForOverlap
 	est.Calib = calib
-	ps := &problemState{est: est, cache: search.NewCostCache()}
+	ps := &problemState{est: est, cache: search.NewCostCache(est)}
 	p.problems.add(key, ps)
 	return ps, hw, g, models, nil
 }

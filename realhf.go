@@ -193,8 +193,23 @@ func (c ExperimentConfig) validate() error {
 	if c.Nodes <= 0 {
 		return fmt.Errorf("realhf: Nodes must be positive: %w", ErrInvalidConfig)
 	}
-	if c.SearchSteps < 0 {
-		return fmt.Errorf("realhf: SearchSteps must not be negative (got %d): %w", c.SearchSteps, ErrInvalidConfig)
+	// withDefaults has already replaced the zeros that mean "default"; a
+	// negative count would reach slice sizes and workload arithmetic.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"GPUsPerNode", c.GPUsPerNode}, {"BatchSize", c.BatchSize},
+		{"PromptLen", c.PromptLen}, {"GenLen", c.GenLen},
+		{"MiniBatches", c.MiniBatches}, {"Iterations", c.Iterations},
+		{"SearchSteps", c.SearchSteps},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("realhf: %s must not be negative (got %d): %w", f.name, f.v, ErrInvalidConfig)
+		}
+	}
+	if c.SearchTime < 0 {
+		return fmt.Errorf("realhf: SearchTime must not be negative (got %v): %w", c.SearchTime, ErrInvalidConfig)
 	}
 	return nil
 }

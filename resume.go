@@ -198,7 +198,7 @@ func (p *Planner) resumeTrain(ctx context.Context, state *checkpoint.State, cfg 
 		return nil, fmt.Errorf("realhf: resume: plan fingerprint %s does not match checkpointed %s: %w",
 			fp, state.PlanFingerprint, ErrInvalidConfig)
 	}
-	if _, err := ps.cache.Evaluate(ps.est, plan); err != nil {
+	if _, err := ps.cache.Evaluate(plan); err != nil {
 		return nil, err
 	}
 

@@ -627,7 +627,7 @@ func (t *Trainer) evaluateLocked(workCfg ExperimentConfig, src *core.Plan) (*cor
 	if err := plan.Validate(); err != nil {
 		return nil, nil, err
 	}
-	res, err := ps.cache.Evaluate(ps.est, plan)
+	res, err := ps.cache.Evaluate(plan)
 	if err != nil {
 		return nil, nil, err
 	}
