@@ -2,7 +2,9 @@ package realhf
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -86,6 +88,34 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 	if err := fits.FeasibleMemory(); err != nil {
 		t.Errorf("7B cast reported infeasible: %v", err)
+	}
+	// A stored plan that decodes on its own terms but does not validate once
+	// re-attached to the config: the file marks actor frozen and offloads
+	// its calls, while the config trains actor.
+	data, err := fits.MarshalPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range doc["models"].([]any) {
+		if m := m.(map[string]any); m["role"] == "actor" {
+			delete(m, "trainable")
+		}
+	}
+	for name, a := range doc["assignments"].(map[string]any) {
+		if strings.HasPrefix(name, "actor/") {
+			a.(map[string]any)["offload"] = true
+		}
+	}
+	mismatched, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.LoadExperimentBytes(mismatched, fastConfig()); !errors.Is(err, ErrInvalidConfig) {
+		t.Errorf("stored plan offloading a role the config trains: %v, want wrapped ErrInvalidConfig", err)
 	}
 	oomCfg := fastConfig()
 	oomCfg.RPCs = PPORPCs("llama70b", "llama70b-critic")

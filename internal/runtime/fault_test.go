@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -152,6 +153,54 @@ func TestFaultFreePassThroughIsBitIdentical(t *testing.T) {
 	}
 	if rep.MakespanV != oneShot.MakespanV || rep.PeakBytes != oneShot.PeakBytes {
 		t.Fatalf("faulty-transport run (%v, %d) != one-shot (%v, %d)",
+			rep.MakespanV, rep.PeakBytes, oneShot.MakespanV, oneShot.PeakBytes)
+	}
+}
+
+// strayReplyTransport executes requests synchronously against real workers,
+// but answers the first one only after slipping replies no run is owed into
+// the reply stream: a late fence (the negative IDs the pool's drains use)
+// and a node ID beyond the plan, as a misbehaving TCP peer could send.
+type strayReplyTransport struct {
+	workers []*ModelWorker
+	replies chan Reply
+	once    sync.Once
+}
+
+func (st *strayReplyTransport) Send(gpu int, req Request) error {
+	st.once.Do(func() {
+		st.replies <- Reply{ID: -5, GPU: gpu}
+		st.replies <- Reply{ID: 1 << 30, GPU: gpu, EndV: 1e9}
+	})
+	st.replies <- st.workers[gpu].Handle(req)
+	return nil
+}
+
+func (st *strayReplyTransport) Replies() <-chan Reply { return st.replies }
+func (st *strayReplyTransport) Close() error          { return nil }
+
+// TestRunDropsStrayReplies: replies whose ID is not an in-flight node of the
+// run — a fence answered after its drain timed out, or an ID decoded from
+// the network — are dropped, and the run matches a clean one-shot run.
+func TestRunDropsStrayReplies(t *testing.T) {
+	plan := reallocHeavyPlan(t, 1)
+	oneShot, err := RunOverlapped(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	static := estimator.StaticPerGPU(plan)
+	workers := make([]*ModelWorker, plan.Cluster.NumGPUs())
+	for i := range workers {
+		workers[i] = NewModelWorker(i, plan.Cluster.GPU.MemoryBytes)
+		workers[i].StaticBytes = static[i]
+	}
+	st := &strayReplyTransport{workers: workers, replies: make(chan Reply, 4096)}
+	rep, err := Run(plan, Options{UseCUDAGraph: true, OverlapComm: true, Transport: st, Workers: workers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.MakespanV != oneShot.MakespanV || rep.PeakBytes != oneShot.PeakBytes {
+		t.Fatalf("run with stray replies (%v, %d) != one-shot (%v, %d)",
 			rep.MakespanV, rep.PeakBytes, oneShot.MakespanV, oneShot.PeakBytes)
 	}
 }

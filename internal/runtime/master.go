@@ -387,6 +387,12 @@ func (m *Master) Run() (*Report, error) {
 
 	completed := 0
 	handleReply := func(rep Reply) {
+		// Only an in-flight node of this run is owed a reply. Anything else
+		// — a fence answered after its drain gave up, a duplicate, or an ID
+		// a TCP peer made up — is dropped before it can index the tables.
+		if _, ok := inflight[rep.ID]; !ok {
+			return
+		}
 		if rep.OOM {
 			report.OOM = true
 			report.Errors = append(report.Errors, rep.Error)

@@ -14,18 +14,17 @@ import (
 // rebuilds workers and transport per call. Between iterations the pool is
 // Reset: every stream is fenced and drained to quiescence, stream clocks and
 // memory ledgers return to zero, and each device's static footprint is
-// replaced (the next iteration may execute a different plan). Resize swaps
-// the fleet for a different device count mid-session (elastic cluster
-// changes).
+// replaced (the next iteration may execute a different plan). A pool's
+// device count is fixed: a session that changes cluster size closes the
+// pool and builds a new one.
 //
 // A pool serializes its own operations; run one iteration at a time.
 type WorkerPool struct {
 	mu           sync.Mutex
 	workers      []*ModelWorker
 	transport    Transport
-	memoryBytes  int64
 	fenceTimeout time.Duration
-	ownTransport bool
+	fenceSeq     int // fences sent so far; the next fence's ID is -(fenceSeq+1)
 	closed       bool
 }
 
@@ -36,23 +35,14 @@ func NewWorkerPool(numGPUs int, memoryBytes int64) *WorkerPool {
 	for i := range workers {
 		workers[i] = NewModelWorker(i, memoryBytes)
 	}
-	return &WorkerPool{
-		workers:      workers,
-		transport:    NewChanTransport(workers),
-		memoryBytes:  memoryBytes,
-		ownTransport: true,
-	}
+	return NewWorkerPoolWith(workers, NewChanTransport(workers))
 }
 
 // NewWorkerPoolWith adopts caller-owned workers and transport (e.g. a TCP
 // fleet served by ServeWorkersTCP). The caller keeps teardown responsibility
 // for the transport's far side; Close still closes the transport itself.
 func NewWorkerPoolWith(workers []*ModelWorker, tr Transport) *WorkerPool {
-	var mem int64
-	if len(workers) > 0 {
-		mem = workers[0].MemoryBytes
-	}
-	return &WorkerPool{workers: workers, transport: tr, memoryBytes: mem}
+	return &WorkerPool{workers: workers, transport: tr}
 }
 
 // Size is the pool's device count.
@@ -79,13 +69,6 @@ func (wp *WorkerPool) SetFenceTimeout(d time.Duration) {
 	defer wp.mu.Unlock()
 	wp.fenceTimeout = d
 }
-
-// fenceID maps a (gpu, stream) pair to a reserved negative request ID, so
-// fence replies can never collide with the master's node IDs (>= 0).
-func fenceID(gpu int, s Stream) int { return -(1 + gpu*NumStreams + int(s)) }
-
-// fenceGPU inverts fenceID.
-func fenceGPU(id int) int { return (-id - 1) / NumStreams }
 
 // Reset quiesces and reinitializes the fleet for the next iteration:
 //
@@ -116,17 +99,21 @@ func (wp *WorkerPool) Reset(static []int64) error {
 	return nil
 }
 
-// drainLocked runs the fence protocol over the pool's transport. A dead
-// worker surfaces here in one of two ways, both as a typed *ErrWorkerLost
-// in the returned chain: the fence send itself fails (a killed transport
-// lane), or the fences stop coming back and the fence timeout expires (a
-// wedged or silently dropped stream).
+// drainLocked runs the fence protocol over the pool's transport. Every
+// fence carries a fresh negative request ID — never a master node ID (>= 0)
+// and never an earlier drain's fence — so a drain that follows a timed-out
+// one waits for its own fences and discards the late ones as stragglers. A
+// dead worker surfaces here in one of two ways, both as a typed
+// *ErrWorkerLost in the returned chain: the fence send itself fails (a
+// killed transport lane), or the fences stop coming back and the fence
+// timeout expires (a wedged or silently dropped stream).
 func (wp *WorkerPool) drainLocked() error {
-	want := make(map[int]bool, len(wp.workers)*NumStreams)
+	want := make(map[int]int, len(wp.workers)*NumStreams) // fence ID -> gpu
 	for gpu := range wp.workers {
 		for s := Stream(0); s < NumStreams; s++ {
-			id := fenceID(gpu, s)
-			want[id] = true
+			wp.fenceSeq++
+			id := -wp.fenceSeq
+			want[id] = gpu
 			if err := wp.transport.Send(gpu, Request{ID: id, Kind: ReqFence, Stream: s}); err != nil {
 				return fmt.Errorf("runtime: fence gpu %d: %w", gpu, err)
 			}
@@ -144,13 +131,13 @@ func (wp *WorkerPool) drainLocked() error {
 			if !ok {
 				return fmt.Errorf("runtime: transport closed with %d fences outstanding", len(want))
 			}
-			delete(want, rep.ID) // non-fence IDs are stragglers; discard
+			delete(want, rep.ID) // other IDs are stragglers; discard
 		case <-timeout:
 			// Deterministic blame: the smallest device with an outstanding
 			// fence (min over a map is iteration-order independent).
 			lost := -1
-			for id := range want {
-				if gpu := fenceGPU(id); lost < 0 || gpu < lost {
+			for _, gpu := range want {
+				if lost < 0 || gpu < lost {
 					lost = gpu
 				}
 			}
@@ -175,37 +162,6 @@ func (wp *WorkerPool) Run(p *core.Plan, opts Options) (*Report, error) {
 	opts.Workers = wp.workers
 	wp.mu.Unlock()
 	return Run(p, opts)
-}
-
-// Resize replaces the fleet with numGPUs workers of the given memory — the
-// elastic mid-session cluster change. Only pools that own their transport
-// (NewWorkerPool) can resize; adopted fleets have caller-owned lifecycles.
-func (wp *WorkerPool) Resize(numGPUs int, memoryBytes int64) error {
-	wp.mu.Lock()
-	defer wp.mu.Unlock()
-	if wp.closed {
-		return fmt.Errorf("runtime: worker pool closed")
-	}
-	if !wp.ownTransport {
-		return fmt.Errorf("runtime: cannot resize a pool over an adopted transport")
-	}
-	if numGPUs <= 0 {
-		return fmt.Errorf("runtime: resize to %d workers", numGPUs)
-	}
-	if memoryBytes <= 0 {
-		memoryBytes = wp.memoryBytes
-	}
-	if err := wp.transport.Close(); err != nil {
-		return err
-	}
-	workers := make([]*ModelWorker, numGPUs)
-	for i := range workers {
-		workers[i] = NewModelWorker(i, memoryBytes)
-	}
-	wp.workers = workers
-	wp.transport = NewChanTransport(workers)
-	wp.memoryBytes = memoryBytes
-	return nil
 }
 
 // Close tears the pool down. Idempotent.

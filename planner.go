@@ -149,7 +149,14 @@ func (o *autoOptions) validate() error {
 			return err
 		}
 	}
-	for name, f := range o.calibFactors {
+	return validateFactors(o.calibFactors)
+}
+
+// validateFactors rejects calibration multipliers that are not positive
+// and finite — the one check for caller-supplied factors and checkpointed
+// ones alike.
+func validateFactors(factors map[string]float64) error {
+	for name, f := range factors {
 		if f <= 0 || math.IsNaN(f) || math.IsInf(f, 0) {
 			return fmt.Errorf("realhf: calibration factor %q = %v: %w (must be a positive finite multiplier)",
 				name, f, ErrInvalidConfig)
@@ -414,25 +421,17 @@ func (p *Planner) PlanCached(cfg ExperimentConfig, opts ...AutoOption) (*Experim
 // No search runs, so the only applicable option is WithRunOptions; passing
 // a search-shaping option (WithProgress, WithWarmStart, WithSolver,
 // WithSearchParallelism, WithOverlapAwareSearch, WithOffloadSearch) is an
-// error rather than a
-// silent no-op. (To estimate the heuristic plan under the overlapped
-// semantics, set cfg.PlanForOverlap — that is a config property, not a
-// search option.)
+// error rather than a silent no-op. (To estimate the heuristic plan under
+// the overlapped semantics, set cfg.PlanForOverlap — that is a config
+// property, not a search option.)
 func (p *Planner) Heuristic(cfg ExperimentConfig, opts ...AutoOption) (*Experiment, error) {
-	var o autoOptions
-	for _, fn := range opts {
-		fn(&o)
+	cfg, o, err := p.prepare(cfg, opts)
+	if err != nil {
+		return nil, err
 	}
 	if o.progress != nil || o.warmStarts != nil || o.solver != "" || o.hasChains || o.overlapAware ||
 		o.offloadSearch || o.calib != nil || o.calibFactors != nil {
 		return nil, fmt.Errorf("realhf: Heuristic runs no search and accepts only WithRunOptions: %w", ErrInvalidConfig)
-	}
-	cfg = p.merge(cfg).withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if err := o.validate(); err != nil {
-		return nil, err
 	}
 	ps, hw, g, models, err := p.problemFor(cfg, nil)
 	if err != nil {
@@ -473,15 +472,23 @@ func (p *Planner) loadExperiment(data []byte, label string, cfg ExperimentConfig
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	ps, hw, g, models, err := p.problemFor(cfg, nil)
+	return p.decodePlan(data, label, cfg, nil)
+}
+
+// decodePlan rebuilds the plan stored in data against cfg (defaults
+// applied) under calib: the stored cluster shape and model cast must agree
+// with cfg, and the assignments are re-attached to cfg's own graph and
+// models so the estimator and runtime see one consistent problem. A stored
+// plan that does not decode, disagrees with cfg or does not validate once
+// re-attached is a config error — retrying the identical request can never
+// succeed, so serve maps it to HTTP 400.
+func (p *Planner) decodePlan(data []byte, label string, cfg ExperimentConfig, calib *estimator.Calibration) (*Experiment, error) {
+	_, hw, g, models, err := p.problemFor(cfg, calib)
 	if err != nil {
 		return nil, err
 	}
 	loaded, err := core.UnmarshalPlan(data, g)
 	if err != nil {
-		// Malformed or invalid stored plans (including a legacy
-		// offload_when_idle flag on a trainable role) are config errors: retrying the identical
-		// request can never succeed, so serve maps them to HTTP 400.
 		return nil, fmt.Errorf("realhf: plan %s: %w: %w", label, err, ErrInvalidConfig)
 	}
 	if loaded.Cluster.Nodes != hw.Nodes || loaded.Cluster.GPUsPerNode != hw.GPUsPerNode {
@@ -494,11 +501,28 @@ func (p *Planner) loadExperiment(data []byte, label string, cfg ExperimentConfig
 			return nil, fmt.Errorf("realhf: plan %s disagrees with the config about model %q: %w", label, role, ErrInvalidConfig)
 		}
 	}
-	// Re-attach the assignments to the config's own graph and models so the
-	// estimator and runtime see one consistent problem.
+	exp, err := p.attach(cfg, calib, loaded)
+	if err != nil {
+		return nil, fmt.Errorf("realhf: plan %s: %w: %w", label, err, ErrInvalidConfig)
+	}
+	return exp, nil
+}
+
+// attach re-attaches src's assignments to cfg's graph and models (cfg may
+// describe another workload than the one src was searched for), validates
+// the result and estimates it through the session's cost cache for cfg's
+// problem under calib.
+func (p *Planner) attach(cfg ExperimentConfig, calib *estimator.Calibration, src *core.Plan) (*Experiment, error) {
+	ps, hw, g, models, err := p.problemFor(cfg, calib)
+	if err != nil {
+		return nil, err
+	}
 	plan := core.NewPlan(hw, g, models)
-	for name, a := range loaded.Assign {
+	for name, a := range src.Assign {
 		plan.Assign[name] = a
+	}
+	if err := plan.Validate(); err != nil {
+		return nil, err
 	}
 	res, err := ps.cache.Evaluate(plan)
 	if err != nil {

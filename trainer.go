@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -103,13 +104,13 @@ const defaultReplanThreshold = 0.15
 const defaultWorkerTimeout = 2 * time.Second
 
 // WorkerPoolFactory builds the worker fleet a Trainer executes on — called
-// at session open, on every Resize, and on every shrink-replan after a
-// worker loss (pools are rebuilt, never patched, so adopted transports and
-// custom deployments work uniformly). The default wraps
-// runtime.NewWorkerPool (in-process channel workers). Custom factories are
-// how campaigns run over other transports: build the fleet, wrap its
-// transport (e.g. runtime.NewFaultyTransport for chaos tests, or a
-// TCPTransport fleet), and return runtime.NewWorkerPoolWith.
+// at session open (Train or ResumeTrain), on every Resize, and on every
+// shrink-replan after a worker loss (pools are rebuilt, never patched, so
+// adopted transports and custom deployments work uniformly). The default
+// wraps runtime.NewWorkerPool (in-process channel workers). Custom
+// factories are how campaigns run over other transports: build the fleet,
+// wrap its transport (e.g. runtime.NewFaultyTransport for chaos tests, or
+// a TCPTransport fleet), and return runtime.NewWorkerPoolWith.
 type WorkerPoolFactory func(numGPUs int, memoryBytes int64) (*runtime.WorkerPool, error)
 
 // WithWorkerPoolFactory routes every worker-fleet (re)build through fn.
@@ -139,8 +140,9 @@ func WithGenLenSchedule(fn func(iter int) int) TrainOption {
 }
 
 // WithReplanThreshold sets the estimate-vs-observed relative drift (e.g.
-// 0.15 for 15%) above which profile feedback triggers a replan. Values <= 0
-// are rejected by Train.
+// 0.15 for 15%) above which profile feedback triggers a replan. Train and
+// ResumeTrain reject a threshold that is not positive and finite (<= 0,
+// NaN, +Inf); WithFrozenPlan is the way to ask for no replanning.
 func WithReplanThreshold(frac float64) TrainOption {
 	return func(o *trainOptions) { o.threshold = frac }
 }
@@ -272,12 +274,34 @@ type TrainerStats struct {
 // A GenLen schedule (WithGenLenSchedule) makes iteration 0's length the
 // schedule's, not the config's. Close the Trainer to release its workers.
 func (p *Planner) Train(ctx context.Context, cfg ExperimentConfig, opts ...TrainOption) (*Trainer, error) {
+	t, err := p.openTrainer(cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	exp, err := p.Plan(ctx, t.base, t.opts.planOpts...)
+	if err != nil {
+		return nil, err
+	}
+	t.plan, t.plannedCfg = exp.Plan, exp.Config
+	if err := t.replaceFleetLocked(exp.Cluster); err != nil {
+		return nil, fmt.Errorf("realhf: %w", err)
+	}
+	return t, nil
+}
+
+// openTrainer is what Train and ResumeTrain share: it applies and checks the
+// options, picks and validates the run options, and canonicalizes cfg into
+// the session's base config. The returned session has no plan and no fleet
+// yet.
+func (p *Planner) openTrainer(cfg ExperimentConfig, opts []TrainOption) (*Trainer, error) {
 	o := trainOptions{threshold: defaultReplanThreshold}
 	for _, fn := range opts {
 		fn(&o)
 	}
-	if o.threshold <= 0 {
-		return nil, fmt.Errorf("realhf: replan threshold %v must be positive: %w", o.threshold, ErrInvalidConfig)
+	// NaN would silently disable replanning (no drift exceeds it), and +Inf
+	// says the same thing less honestly than WithFrozenPlan.
+	if !(o.threshold > 0) || math.IsInf(o.threshold, 0) {
+		return nil, fmt.Errorf("realhf: replan threshold %v must be positive and finite: %w", o.threshold, ErrInvalidConfig)
 	}
 	run := DefaultRunOptions()
 	if o.hasRunOpts {
@@ -315,28 +339,28 @@ func (p *Planner) Train(ctx context.Context, cfg ExperimentConfig, opts ...Train
 	if wt == 0 {
 		wt = defaultWorkerTimeout
 	}
-	exp, err := p.Plan(ctx, cfg, o.planOpts...)
+	return &Trainer{planner: p, base: cfg, opts: o, run: run, workerTimeout: wt}, nil
+}
+
+// replaceFleetLocked swaps in a worker fleet for cluster (run-option
+// scaling applied), closing the current one first. Fleets are rebuilt,
+// never patched: routing every (re)build through the pool factory keeps
+// custom fleets (adopted transports, chaos wrappers) working the same way
+// the default in-process fleet does.
+func (t *Trainer) replaceFleetLocked(cluster hardware.Cluster) error {
+	if t.pool != nil {
+		if err := t.pool.Close(); err != nil {
+			return fmt.Errorf("closing worker fleet: %w", err)
+		}
+	}
+	hw := t.run.scaleCluster(cluster)
+	pool, err := t.opts.poolFactory(hw.NumGPUs(), hw.GPU.MemoryBytes)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("worker pool for %d GPUs: %w", hw.NumGPUs(), err)
 	}
-	hw := run.scaleCluster(exp.Cluster)
-	pool, err := o.poolFactory(hw.NumGPUs(), hw.GPU.MemoryBytes)
-	if err != nil {
-		return nil, fmt.Errorf("realhf: worker pool for %d GPUs: %w", hw.NumGPUs(), err)
-	}
-	pool.SetFenceTimeout(wt)
-	t := &Trainer{
-		planner:       p,
-		base:          cfg,
-		opts:          o,
-		run:           run,
-		pool:          pool,
-		hw:            hw,
-		plan:          exp.Plan,
-		plannedCfg:    exp.Config,
-		workerTimeout: wt,
-	}
-	return t, nil
+	pool.SetFenceTimeout(t.workerTimeout)
+	t.pool, t.hw = pool, hw
+	return nil
 }
 
 // Step executes the next campaign iteration: it applies the GenLen
@@ -344,14 +368,11 @@ func (p *Planner) Train(ctx context.Context, cfg ExperimentConfig, opts ...Train
 // in a frozen session), charges any plan-switch reallocation, resets the
 // worker fleet, runs the iteration, and folds the observed per-RPC
 // durations back into the session's calibration.
+//
+// The report streams to a WithIterationProgress callback with the session
+// unlocked, so the callback may freely call back into the session (Stats,
+// even Resize) without deadlocking.
 func (t *Trainer) Step(ctx context.Context) (*IterationReport, error) {
-	return t.step(ctx)
-}
-
-// step runs one locked iteration and then streams its report with the lock
-// released, so a WithIterationProgress callback may freely call back into
-// the session (Stats, even Resize) without deadlocking.
-func (t *Trainer) step(ctx context.Context) (*IterationReport, error) {
 	t.mu.Lock()
 	rep, err := t.stepLocked(ctx)
 	t.mu.Unlock()
@@ -498,21 +519,32 @@ func foldFeedback(cur *estimator.Calibration, observed, predicted map[string]flo
 	return drift, estimator.NewCalibration(factors)
 }
 
-// replanLocked re-searches the plan for workCfg through the owning
-// Planner's caches under the session calibration, warm-starting the search
-// from the incumbent plan re-attached to the new workload — so the fresh
-// estimate can never regress below what keeping the old plan predicts — and
-// adopts the candidate only when its predicted iteration cost plus the
-// §5-priced switch reallocation beats the incumbent on the new workload.
-// Either way the workload is considered handled: the schedule must change
-// (or new drift appear) before the next replan.
-func (t *Trainer) replanLocked(ctx context.Context, workCfg ExperimentConfig) (switched, cached bool, err error) {
+// planLocked plans cfg through the owning Planner's caches under the
+// session calibration. With warm set it first re-attaches the incumbent
+// plan to cfg and, when that validates, seeds the search with it — so the
+// fresh estimate can never regress below what keeping the old plan
+// predicts — and returns the incumbent's estimate alongside (nil when the
+// incumbent does not fit cfg).
+func (t *Trainer) planLocked(ctx context.Context, cfg ExperimentConfig, warm bool) (*Experiment, *estimator.Result, error) {
 	opts := append(append([]AutoOption{}, t.opts.planOpts...), withCalibration(t.calib))
-	stalePlan, staleEst, staleErr := t.evaluateLocked(workCfg, t.plan)
-	if staleErr == nil {
-		opts = append(opts, WithWarmStart(stalePlan))
+	var stale *estimator.Result
+	if warm {
+		if inc, err := t.planner.attach(cfg, t.calib, t.plan); err == nil {
+			opts = append(opts, WithWarmStart(inc.Plan))
+			stale = inc.Estimate
+		}
 	}
-	exp, err := t.planner.Plan(ctx, workCfg, opts...)
+	exp, err := t.planner.Plan(ctx, cfg, opts...)
+	return exp, stale, err
+}
+
+// replanLocked re-searches the plan for workCfg, warm-started from the
+// incumbent, and adopts the candidate only when its predicted iteration
+// cost plus the §5-priced switch reallocation beats the incumbent on the
+// new workload. Either way the workload is considered handled: the
+// schedule must change (or new drift appear) before the next replan.
+func (t *Trainer) replanLocked(ctx context.Context, workCfg ExperimentConfig) (switched, cached bool, err error) {
+	exp, stale, err := t.planLocked(ctx, workCfg, true)
 	if err != nil {
 		return false, false, err
 	}
@@ -520,13 +552,9 @@ func (t *Trainer) replanLocked(ctx context.Context, workCfg ExperimentConfig) (s
 	adopt := false
 	if exp.Plan.Fingerprint() != t.plan.Fingerprint() {
 		cost := realloc.SwitchCost(t.plan, exp.Plan, t.hw)
-		if staleErr != nil {
-			// The incumbent no longer validates on the new workload: the
-			// switch is forced, and its reallocation still charged.
-			adopt = true
-		} else {
-			adopt = exp.Estimate.Cost+cost < staleEst.Cost
-		}
+		// An incumbent that no longer validates on the new workload forces
+		// the switch; its reallocation is still charged.
+		adopt = stale == nil || exp.Estimate.Cost+cost < stale.Cost
 		if adopt {
 			t.pendingSwitchCost += cost
 			t.plan = exp.Plan
@@ -538,16 +566,37 @@ func (t *Trainer) replanLocked(ctx context.Context, workCfg ExperimentConfig) (s
 	return adopt, exp.Cached, nil
 }
 
+// moveLocked adopts exp, planned for a different node count, as the
+// session's plan: it rebuilds the worker fleet at the new size and charges
+// the §5-priced reallocation of every model into the new layout, priced on
+// the larger of the two clusters, whose device range spans both meshes.
+// Resize and the worker-loss shrink both move through here.
+func (t *Trainer) moveLocked(exp *Experiment) error {
+	oldHW := t.hw
+	if err := t.replaceFleetLocked(exp.Cluster); err != nil {
+		return err
+	}
+	priceHW := oldHW
+	if t.hw.NumGPUs() > priceHW.NumGPUs() {
+		priceHW = t.hw
+	}
+	t.pendingSwitchCost += realloc.SwitchCost(t.plan, exp.Plan, priceHW)
+	t.replans++
+	t.switches++
+	t.base.Nodes = exp.Config.Nodes
+	t.plannedCfg = exp.Config
+	t.plan = exp.Plan
+	t.drifted = false
+	return nil
+}
+
 // shrinkLocked recovers from a lost worker: it evicts the failed device's
 // host node from the campaign, re-solves the plan onto the surviving mesh
-// through the Planner's caches (calibrated, warm-started from the incumbent
-// when it still validates there), charges the §5-priced reallocation of
-// moving every model onto the survivors, and swaps the worker fleet to the
-// shrunken size. The inverse of Resize, forced rather than elective — it
-// runs even in WithFrozenPlan sessions, because the frozen plan's mesh no
-// longer exists; survival outranks baseline purity. When no surviving node
-// remains (or the shrink replan itself fails) it returns an error wrapping
-// ErrWorkerLost, ending the campaign.
+// (warm-started from the incumbent) and moves onto it. It is forced rather
+// than elective — it runs even in WithFrozenPlan sessions, because the
+// frozen plan's mesh no longer exists; survival outranks baseline purity.
+// When no surviving node remains (or the shrink itself fails) it returns
+// an error wrapping ErrWorkerLost, ending the campaign.
 func (t *Trainer) shrinkLocked(ctx context.Context, workCfg *ExperimentConfig, report *IterationReport, lost *runtime.ErrWorkerLost) error {
 	report.WorkerLost = true
 	report.LostGPUs = append(report.LostGPUs, lost.GPU)
@@ -559,38 +608,14 @@ func (t *Trainer) shrinkLocked(ctx context.Context, workCfg *ExperimentConfig, r
 	newCfg := t.base
 	newCfg.Nodes--
 	newCfg.GenLen = workCfg.GenLen
-	opts := append(append([]AutoOption{}, t.opts.planOpts...), withCalibration(t.calib))
-	if stalePlan, _, staleErr := t.evaluateLocked(newCfg, t.plan); staleErr == nil {
-		opts = append(opts, WithWarmStart(stalePlan))
+	exp, _, err := t.planLocked(ctx, newCfg, true)
+	if err == nil {
+		err = t.moveLocked(exp)
 	}
-	exp, err := t.planner.Plan(ctx, newCfg, opts...)
 	if err != nil {
 		return fmt.Errorf("realhf: iteration %d: shrink to %d nodes after losing worker gpu %d: %w: %w",
 			report.Iter, newCfg.Nodes, lost.GPU, ErrWorkerLost, err)
 	}
-	newHW := t.run.scaleCluster(exp.Cluster)
-	// Price the reallocation on the old, larger cluster: its device range
-	// spans both the dying mesh and the survivors, exactly as Resize prices
-	// a grow on the larger of the two.
-	t.pendingSwitchCost += realloc.SwitchCost(t.plan, exp.Plan, t.hw)
-	if err := t.pool.Close(); err != nil {
-		return fmt.Errorf("realhf: iteration %d: closing failed worker fleet: %w: %w",
-			report.Iter, ErrWorkerLost, err)
-	}
-	pool, err := t.opts.poolFactory(newHW.NumGPUs(), newHW.GPU.MemoryBytes)
-	if err != nil {
-		return fmt.Errorf("realhf: iteration %d: worker pool for %d surviving GPUs: %w: %w",
-			report.Iter, newHW.NumGPUs(), ErrWorkerLost, err)
-	}
-	pool.SetFenceTimeout(t.workerTimeout)
-	t.pool = pool
-	t.replans++
-	t.switches++
-	t.base.Nodes = newCfg.Nodes
-	t.plannedCfg = exp.Config
-	t.plan = exp.Plan
-	t.hw = newHW
-	t.drifted = false
 	workCfg.Nodes = newCfg.Nodes
 	report.Nodes = newCfg.Nodes
 	report.Replanned, report.Switched, report.PlanCached = true, true, exp.Cached
@@ -604,34 +629,13 @@ func (t *Trainer) shrinkLocked(ctx context.Context, workCfg *ExperimentConfig, r
 // estimate is always computed against the canonical unscaled problem, so
 // shared cost caches stay consistent.
 func (t *Trainer) instantiateLocked(workCfg ExperimentConfig) (*core.Plan, *estimator.Result, error) {
-	plan, res, err := t.evaluateLocked(workCfg, t.plan)
+	exp, err := t.planner.attach(workCfg, t.calib, t.plan)
 	if err != nil {
 		return nil, nil, err
 	}
-	exec := plan.Clone()
+	exec := exp.Plan.Clone()
 	exec.Cluster = t.hw
-	return exec, res, nil
-}
-
-// evaluateLocked builds workCfg's graph with the given plan's assignments
-// and returns the (calibrated) estimate via the planner's shared caches.
-func (t *Trainer) evaluateLocked(workCfg ExperimentConfig, src *core.Plan) (*core.Plan, *estimator.Result, error) {
-	ps, hw, g, models, err := t.planner.problemFor(workCfg, t.calib)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan := core.NewPlan(hw, g, models)
-	for name, a := range src.Assign {
-		plan.Assign[name] = a
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, nil, err
-	}
-	res, err := ps.cache.Evaluate(plan)
-	if err != nil {
-		return nil, nil, err
-	}
-	return plan, res, nil
+	return exec, exp.Estimate, nil
 }
 
 // Campaign runs n iterations back to back, aggregating their reports. A
@@ -645,7 +649,7 @@ func (t *Trainer) evaluateLocked(workCfg ExperimentConfig, src *core.Plan) (*cor
 func (t *Trainer) Campaign(ctx context.Context, n int) (*CampaignReport, error) {
 	out := &CampaignReport{}
 	for i := 0; i < n; i++ {
-		rep, err := t.step(ctx)
+		rep, err := t.Step(ctx)
 		if err != nil {
 			return out, err
 		}
@@ -666,10 +670,10 @@ func (t *Trainer) Campaign(ctx context.Context, n int) (*CampaignReport, error) 
 
 // Resize moves the campaign to a different node count mid-training: the
 // session replans on the new mesh through the Planner's caches (calibrated
-// with everything profiled so far), charges the parameter reallocation into
-// the new layout — priced on the larger of the two clusters, whose device
-// range spans both meshes — and swaps the worker fleet to the new size. The
-// cost lands on the next iteration's report.
+// with everything profiled so far; unlike a drift replan, not warm-started
+// from the incumbent), rebuilds the worker fleet at the new size and
+// charges the parameter reallocation into the new layout. The cost lands
+// on the next iteration's report.
 func (t *Trainer) Resize(ctx context.Context, nodes int) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -694,36 +698,13 @@ func (t *Trainer) Resize(ctx context.Context, nodes int) error {
 			newCfg.GenLen = g
 		}
 	}
-	opts := append(append([]AutoOption{}, t.opts.planOpts...), withCalibration(t.calib))
-	exp, err := t.planner.Plan(ctx, newCfg, opts...)
+	exp, _, err := t.planLocked(ctx, newCfg, false)
+	if err == nil {
+		err = t.moveLocked(exp)
+	}
 	if err != nil {
 		return fmt.Errorf("realhf: resize to %d nodes: %w", nodes, err)
 	}
-	newHW := t.run.scaleCluster(exp.Cluster)
-	priceHW := t.hw
-	if newHW.NumGPUs() > priceHW.NumGPUs() {
-		priceHW = newHW
-	}
-	t.pendingSwitchCost += realloc.SwitchCost(t.plan, exp.Plan, priceHW)
-	// Rebuild, never patch: routing resizes through the pool factory keeps
-	// custom fleets (adopted transports, chaos wrappers) resizable the same
-	// way the default in-process fleet is.
-	if err := t.pool.Close(); err != nil {
-		return fmt.Errorf("realhf: resize to %d nodes: closing worker fleet: %w", nodes, err)
-	}
-	pool, err := t.opts.poolFactory(newHW.NumGPUs(), newHW.GPU.MemoryBytes)
-	if err != nil {
-		return fmt.Errorf("realhf: resize to %d nodes: worker pool: %w", nodes, err)
-	}
-	pool.SetFenceTimeout(t.workerTimeout)
-	t.pool = pool
-	t.replans++
-	t.switches++
-	t.base.Nodes = nodes
-	t.plannedCfg = exp.Config
-	t.plan = exp.Plan
-	t.hw = newHW
-	t.drifted = false
 	return nil
 }
 

@@ -1,10 +1,13 @@
 package realhf
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
+	"time"
 )
 
 // rampSchedule is the §8 drift scenario used across the trainer tests: the
@@ -270,22 +273,11 @@ func TestTrainerResize(t *testing.T) {
 
 // TestTrainerLifecycle: closed sessions reject work; cancelled contexts
 // surface wrapped errors with the completed prefix; bad options are
-// rejected up front with the shared RunOptions checker.
+// rejected up front — by Train and by ResumeTrain alike — with the shared
+// RunOptions checker.
 func TestTrainerLifecycle(t *testing.T) {
 	ctx := context.Background()
 	planner := NewPlanner(ClusterConfig{})
-
-	if _, err := planner.Train(ctx, trainerConfig(), WithReplanThreshold(-1)); err == nil {
-		t.Fatal("negative replan threshold must be rejected")
-	}
-	if _, err := planner.Train(ctx, trainerConfig(),
-		WithTrainRunOptions(RunOptions{BandwidthScale: -2})); !errors.Is(err, ErrInvalidRunOptions) {
-		t.Fatalf("Train must share RunOptions validation, got %v", err)
-	}
-	if _, err := planner.Train(ctx, trainerConfig(),
-		WithGenLenSchedule(func(int) int { return 0 })); err == nil {
-		t.Fatal("a schedule returning 0 tokens must be rejected")
-	}
 
 	tr, err := planner.Train(ctx, trainerConfig())
 	if err != nil {
@@ -294,6 +286,49 @@ func TestTrainerLifecycle(t *testing.T) {
 	if _, err := tr.Step(ctx); err != nil {
 		t.Fatal(err)
 	}
+	var ckpt bytes.Buffer
+	if err := tr.Checkpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	negTimeout := DefaultRunOptions()
+	negTimeout.WorkerTimeout = -time.Second
+	open := map[string]func(TrainOption) error{
+		"Train": func(opt TrainOption) error {
+			_, err := planner.Train(ctx, trainerConfig(), opt)
+			return err
+		},
+		"ResumeTrain": func(opt TrainOption) error {
+			_, err := planner.ResumeTrain(ctx, bytes.NewReader(ckpt.Bytes()), trainerConfig(), opt)
+			return err
+		},
+	}
+	for _, tc := range []struct {
+		name string
+		opt  TrainOption
+		want error
+	}{
+		{"negative threshold", WithReplanThreshold(-1), ErrInvalidConfig},
+		{"NaN threshold", WithReplanThreshold(math.NaN()), ErrInvalidConfig},
+		{"+Inf threshold", WithReplanThreshold(math.Inf(1)), ErrInvalidConfig},
+		{"negative BandwidthScale", WithTrainRunOptions(RunOptions{BandwidthScale: -2}), ErrInvalidRunOptions},
+		{"schedule returning 0 tokens", WithGenLenSchedule(func(int) int { return 0 }), ErrInvalidConfig},
+		{"negative WorkerTimeout", WithTrainRunOptions(negTimeout), ErrInvalidRunOptions},
+	} {
+		for _, entry := range []string{"Train", "ResumeTrain"} {
+			if err := open[entry](tc.opt); !errors.Is(err, tc.want) {
+				t.Errorf("%s with %s: %v, want wrapped %v", entry, tc.name, err, tc.want)
+			}
+		}
+	}
+	// The same checkpoint resumes cleanly under good options.
+	resumed, err := planner.ResumeTrain(ctx, bytes.NewReader(ckpt.Bytes()), trainerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resumed.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
 	rep, err := tr.Campaign(cancelled, 2)
