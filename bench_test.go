@@ -8,6 +8,7 @@ package realhf
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -712,5 +713,54 @@ func BenchmarkGreedySeed(b *testing.B) {
 			search.Problem{Est: pr.Est, Plan: pr.EmptyPlan()}, search.Options{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// coldStrata mirrors perfbench's cold-solve grid (algorithm, actor size,
+// planning option) grouped by cluster size, at one fixed request shape.
+var coldStrata = map[int][]struct{ algo, actor, option string }{
+	1: {{"ppo", "7b", ""}, {"ppo", "13b", "overlap"}, {"grpo", "7b", "offload"},
+		{"dpo", "7b", ""}, {"dpo", "13b", ""}, {"remax", "7b", "overlap"}},
+	2: {{"ppo", "7b", ""}, {"grpo", "13b", ""}, {"grpo", "34b", ""},
+		{"dpo", "34b", "offload"}, {"remax", "13b", ""}, {"remax", "7b", ""}},
+	4:  {{"ppo", "34b", ""}, {"grpo", "7b", ""}, {"dpo", "13b", ""}, {"remax", "34b", ""}},
+	8:  {{"ppo", "13b", ""}, {"dpo", "7b", ""}, {"remax", "13b", ""}},
+	32: {{"ppo", "7b", ""}, {"grpo", "34b", ""}, {"dpo", "7b", ""}},
+}
+
+// BenchmarkColdSolve measures default-budget (4000-step) cold solves per
+// cluster size: each op plans every stratum of that size once, with a
+// fresh search seed so the plan cache never answers, on one long-lived
+// Planner whose per-problem cost caches stay warm across ops, as in a
+// serving process.
+func BenchmarkColdSolve(b *testing.B) {
+	for _, nodes := range []int{1, 2, 4, 8, 32} {
+		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
+			b.ReportAllocs()
+			planner := NewPlanner(ClusterConfig{})
+			for i := 0; i < b.N; i++ {
+				for _, s := range coldStrata[nodes] {
+					rpcs, err := AlgoRPCs(s.algo, "llama"+s.actor, "llama7b-critic")
+					if err != nil {
+						b.Fatal(err)
+					}
+					var opts []AutoOption
+					switch s.option {
+					case "overlap":
+						opts = append(opts, WithOverlapAwareSearch())
+					case "offload":
+						opts = append(opts, WithOffloadSearch())
+					}
+					cfg := ExperimentConfig{
+						Nodes: nodes, BatchSize: 32 * nodes, PromptLen: 512, GenLen: 512,
+						RPCs: rpcs, Seed: int64(i) + 1,
+					}
+					if _, err := planner.Plan(context.Background(), cfg, opts...); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N*len(coldStrata[nodes])), "ms/solve")
+		})
 	}
 }

@@ -19,8 +19,10 @@ import (
 //     never succeed. HTTP 400.
 //   - ErrInfeasibleMemory: the request was well-formed but no plan fits the
 //     cluster's device memory — Experiment.FeasibleMemory reports it for a
-//     solved experiment whose best plan still exceeds HBM. Retrying needs a
-//     different workload or a bigger cluster. HTTP 422.
+//     solved experiment whose best plan still exceeds HBM, and Planner.Plan
+//     wraps it around a *search.ErrNoLegalAssignment when some call cannot
+//     fit any single device at all. Retrying needs a different workload or
+//     a bigger cluster. HTTP 422.
 //   - ErrSolveCanceled: the solve was abandoned — the caller's context was
 //     canceled or its deadline expired before or during the search. The
 //     context cause (context.Canceled or context.DeadlineExceeded) stays in

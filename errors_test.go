@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"realhf/internal/search"
 )
 
 // TestErrorTaxonomy pins the exported error taxonomy the plan service maps
@@ -132,5 +134,62 @@ func TestErrorTaxonomy(t *testing.T) {
 	if errors.Is(ErrInvalidConfig, ErrInfeasibleMemory) || errors.Is(ErrInfeasibleMemory, ErrSolveCanceled) ||
 		errors.Is(ErrSolveCanceled, ErrInvalidConfig) {
 		t.Error("error taxonomy classes must be disjoint")
+	}
+}
+
+// TestConfigShapeValidation is the table of shape rules beyond sign checks:
+// GPUsPerNode must be a modelled host size (legal meshes tile a node with
+// power-of-two slices) and MiniBatches must not exceed BatchSize. Every
+// planning entry point rejects them with ErrInvalidConfig before any
+// problem is built; the boundary values plan.
+func TestConfigShapeValidation(t *testing.T) {
+	p := NewPlanner(ClusterConfig{})
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name  string
+		set   func(*ExperimentConfig)
+		valid bool
+	}{
+		{"GPUsPerNode=3", func(c *ExperimentConfig) { c.GPUsPerNode = 3 }, false},
+		{"GPUsPerNode=6", func(c *ExperimentConfig) { c.GPUsPerNode = 6 }, false},
+		{"GPUsPerNode=32", func(c *ExperimentConfig) { c.GPUsPerNode = 32 }, false},
+		{"GPUsPerNode=16384", func(c *ExperimentConfig) { c.GPUsPerNode = 16384 }, false},
+		{"MiniBatches>BatchSize", func(c *ExperimentConfig) { c.BatchSize, c.MiniBatches = 1, 8 }, false},
+		{"MiniBatches=10000", func(c *ExperimentConfig) { c.BatchSize, c.MiniBatches = 512, 10000 }, false},
+		{"default MiniBatches>BatchSize", func(c *ExperimentConfig) { c.BatchSize = 4 }, false},
+		{"GPUsPerNode=4", func(c *ExperimentConfig) { c.GPUsPerNode = 4 }, true},
+		{"MiniBatches=BatchSize", func(c *ExperimentConfig) { c.BatchSize, c.MiniBatches = 8, 8 }, true},
+	} {
+		cfg := fastConfig()
+		cfg.SearchSteps = 20
+		tc.set(&cfg)
+		_, planErr := p.Plan(ctx, cfg)
+		_, heurErr := p.Heuristic(cfg)
+		for i, err := range []error{planErr, heurErr} {
+			entry := [...]string{"Plan", "Heuristic"}[i]
+			if tc.valid && err != nil {
+				t.Errorf("%s: %s: %v, want a plan", tc.name, entry, err)
+			}
+			if !tc.valid && !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("%s: %s: %v, want wrapped ErrInvalidConfig", tc.name, entry, err)
+			}
+		}
+	}
+}
+
+// TestNoLegalAssignmentIsInfeasible: a config whose generation call cannot
+// fit any single device under any strategy is well-formed but infeasible,
+// so Planner.Plan classifies the solver's typed error under
+// ErrInfeasibleMemory and keeps it in the chain for errors.As.
+func TestNoLegalAssignmentIsInfeasible(t *testing.T) {
+	cfg := fastConfig()
+	cfg.GenLen = 1 << 30
+	_, err := NewPlanner(ClusterConfig{}).Plan(context.Background(), cfg)
+	if !errors.Is(err, ErrInfeasibleMemory) || errors.Is(err, ErrInvalidConfig) {
+		t.Fatalf("GenLen=1<<30: %v, want wrapped ErrInfeasibleMemory only", err)
+	}
+	var noLegal *search.ErrNoLegalAssignment
+	if !errors.As(err, &noLegal) || noLegal.Call == "" {
+		t.Errorf("GenLen=1<<30: %v, want a *search.ErrNoLegalAssignment naming the call", err)
 	}
 }

@@ -116,9 +116,9 @@ type FieldCoverExtra struct {
 var FieldCoverExtras = []FieldCoverExtra{
 	{Pkg: "", ViaType: "ExperimentConfig", ViaMethod: "Fingerprint",
 		TypePkg: "", TypeName: "ModelFunctionCallDef"},
-	{Pkg: "internal/core", ViaType: "Assignment", ViaMethod: "AppendFingerprint",
+	{Pkg: "internal/core", ViaType: "Assignment", ViaMethod: "appendFingerprint",
 		TypePkg: "internal/parallel", TypeName: "Strategy"},
-	{Pkg: "internal/core", ViaType: "Assignment", ViaMethod: "AppendFingerprint",
+	{Pkg: "internal/core", ViaType: "Assignment", ViaMethod: "appendFingerprint",
 		TypePkg: "internal/mesh", TypeName: "Mesh"},
 	// Assignment is also the value payload of the plan wire codec: every
 	// exported field (including the searched Offload decision) must reach

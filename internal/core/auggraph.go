@@ -150,15 +150,19 @@ func (p *Plan) BuildAugGraph() (*AugGraph, error) {
 // assignment-independent topology once — topo order, parent lists and each
 // role's home call — and every Build rebuilds the nodes into a reused arena,
 // so a caller re-expanding many plans over the same graph (plan search)
-// allocates nothing per build once the arena has grown. A Builder is
-// single-goroutine state.
+// allocates nothing per build once the arena has grown. Build reads each
+// dfg node's assignment and model from the plan's maps exactly once; every
+// later lookup (home layout, parent layout) indexes a slice by dfg node ID.
+// A Builder is single-goroutine state.
 type Builder struct {
-	graph    *dfg.Graph
-	topo     []*dfg.Node
-	parents  [][]*dfg.Node
-	homeCall map[dfg.Role]string
+	graph   *dfg.Graph
+	topo    []*dfg.Node
+	parents [][]*dfg.Node
+	home    []*dfg.Node // dfg node ID -> first node of its role's home call
 
-	callIdx []int // dfg node ID -> ID of its call node
+	assign  []Assignment // dfg node ID -> assignment read by the last Build
+	models  []ModelSpec  // dfg node ID -> role model read by the last Build
+	callIdx []int        // dfg node ID -> ID of its call node
 	arena   []*AugNode
 	g       AugGraph
 }
@@ -170,34 +174,43 @@ func NewBuilder(g *dfg.Graph) (*Builder, error) {
 		return nil, err
 	}
 	b := &Builder{
-		graph:    g,
-		topo:     topo,
-		parents:  make([][]*dfg.Node, len(g.Nodes)),
-		homeCall: make(map[dfg.Role]string, 4),
-		callIdx:  make([]int, len(g.Nodes)),
-		arena:    make([]*AugNode, 0, len(g.Nodes)),
+		graph:   g,
+		topo:    topo,
+		parents: make([][]*dfg.Node, len(g.Nodes)),
+		home:    make([]*dfg.Node, len(g.Nodes)),
+		assign:  make([]Assignment, len(g.Nodes)),
+		models:  make([]ModelSpec, len(g.Nodes)),
+		callIdx: make([]int, len(g.Nodes)),
+		arena:   make([]*AugNode, 0, len(g.Nodes)),
 	}
 	for _, d := range g.Nodes {
 		b.parents[d.ID] = g.Parents(d)
 	}
 	// Home call per role, as Plan.HomeOf picks it on a fully assigned plan:
 	// the role's first Train-typed call in Nodes order, else its first call.
+	homes := make(map[dfg.Role]*dfg.Node, 4)
 	for _, train := range []bool{true, false} {
 		for _, d := range g.Nodes {
-			if _, ok := b.homeCall[d.Role]; !ok && (d.Type == dfg.Train || !train) {
-				b.homeCall[d.Role] = d.Name
+			if _, ok := homes[d.Role]; !ok && (d.Type == dfg.Train || !train) {
+				homes[d.Role] = d
 			}
 		}
+	}
+	for _, d := range g.Nodes {
+		b.home[d.ID] = homes[d.Role]
 	}
 	return b, nil
 }
 
-// HomeCall returns the name of the call whose assignment is the role's home
-// (Plan.HomeOf), and whether the graph has a call of the role at all.
-func (b *Builder) HomeCall(role dfg.Role) (string, bool) {
-	name, ok := b.homeCall[role]
-	return name, ok
-}
+// Home returns the first node of the call whose assignment is d's role's
+// home (Plan.HomeOf). d must be a node of the builder's graph.
+func (b *Builder) Home(d *dfg.Node) *dfg.Node { return b.home[d.ID] }
+
+// Assignment returns the assignment the last successful Build read for d,
+// letting callers that score the built graph reuse the builder's single
+// read of the plan's assignment map. d must be a node of the builder's
+// graph.
+func (b *Builder) Assignment(d *dfg.Node) Assignment { return b.assign[d.ID] }
 
 // node takes the next arena slot, recycling its slices.
 func (b *Builder) node(k Kind, call *dfg.Node) *AugNode {
@@ -206,14 +219,12 @@ func (b *Builder) node(k Kind, call *dfg.Node) *AugNode {
 		b.arena = append(b.arena, &AugNode{})
 	}
 	n := b.arena[id]
-	*n = AugNode{
-		ID:       id,
-		Kind:     k,
-		Call:     call,
-		Meshes:   n.Meshes[:0],
-		Parents:  n.Parents[:0],
-		Children: n.Children[:0],
-	}
+	// Zero in place and restore the recycled slices: assigning a composite
+	// literal would build the (large) node on the stack and copy it over.
+	meshes, parents, children := n.Meshes[:0], n.Parents[:0], n.Children[:0]
+	*n = AugNode{}
+	n.ID, n.Kind, n.Call = id, k, call
+	n.Meshes, n.Parents, n.Children = meshes, parents, children
 	b.g.Nodes = b.arena[:id+1]
 	return n
 }
@@ -251,9 +262,11 @@ func (b *Builder) Build(p *Plan) (*AugGraph, error) {
 		if !ok {
 			return nil, fmt.Errorf("core: call %q has no assignment", d.Name)
 		}
-		if _, ok := p.Models[d.Role]; !ok {
+		ms, ok := p.Models[d.Role]
+		if !ok {
 			return nil, fmt.Errorf("core: no model spec for role %q", d.Role)
 		}
+		b.assign[d.ID], b.models[d.ID] = a, ms
 		cn := b.node(KindCall, d)
 		cn.Role = d.Role
 		cn.Meshes = append(cn.Meshes, a.Mesh)
@@ -262,9 +275,8 @@ func (b *Builder) Build(p *Plan) (*AugGraph, error) {
 
 	for _, d := range b.topo {
 		cn := b.arena[b.callIdx[d.ID]]
-		a := p.Assign[d.Name]
-		ms := p.Models[d.Role]
-		home := p.Assign[b.homeCall[d.Role]]
+		a, ms := b.assign[d.ID], &b.models[d.ID]
+		home := b.assign[b.home[d.ID].ID]
 
 		var move *AugNode
 		switch {
@@ -294,7 +306,7 @@ func (b *Builder) Build(p *Plan) (*AugGraph, error) {
 		// Data edges from parents.
 		for _, par := range b.parents[d.ID] {
 			pn := b.arena[b.callIdx[par.ID]]
-			pa := p.Assign[par.Name]
+			pa := b.assign[par.ID]
 			if par.Role == d.Role && par.Type == dfg.Train || pa.Equal(a) {
 				// A pure version dependency (the realloc/offload node, or the
 				// call itself, already waits on it) or a co-located edge.

@@ -252,13 +252,6 @@ func (a Assignment) appendFingerprint(b []byte) []byte {
 	return b
 }
 
-// AppendFingerprint appends the assignment's canonical encoding to b and
-// returns the extended slice — the allocation-free form of Fingerprint for
-// callers that assemble composite cache keys in reusable buffers.
-func (a Assignment) AppendFingerprint(b []byte) []byte {
-	return a.appendFingerprint(b)
-}
-
 // Fingerprint returns a compact canonical key identifying the assignment,
 // for memoization maps keyed by (call, mesh, strategy).
 func (a Assignment) Fingerprint() string {

@@ -444,18 +444,26 @@ func StaticPerGPU(p *core.Plan) []int64 {
 // CallActiveBytes returns the transient per-GPU bytes of one call,
 // discounting weights already resident in the role's static home allocation.
 func CallActiveBytes(p *core.Plan, node *dfg.Node) int64 {
-	spec, err := CallSpecOf(p, node)
-	if err != nil {
+	a, ok := p.AssignmentOf(node)
+	ms, hasModel := p.Models[node.Role]
+	if !ok || !hasModel {
 		return 0
 	}
-	act := memory.Active(spec)
-	a := p.Assign[node.Name]
 	home, _ := p.HomeOf(node.Role)
+	return activeBytes(ms, node, a, home)
+}
+
+// activeBytes is CallActiveBytes over an already resolved model, assignment
+// and role home.
+func activeBytes(ms core.ModelSpec, node *dfg.Node, a, home core.Assignment) int64 {
+	act := memory.Active(gpumodel.CallSpec{
+		Cfg: ms.Cfg, IsCritic: ms.IsCritic, Type: node.Type, Work: node.Work,
+		Strategy: a.Strategy, Mesh: a.Mesh,
+	})
 	// The discount applies only when the call reuses the device-resident home
 	// copy: an offloaded call sources its weights from host memory, so the
 	// working copy is genuinely extra bytes even at home.
 	if a.Equal(home) && !a.Offload {
-		ms := p.Models[node.Role]
 		shard := memory.ParamShardBytes(ms.Params(), a.Strategy)
 		if a.Strategy.ZeRO3 {
 			shard = ms.Params() / int64(a.Strategy.DP) * 2

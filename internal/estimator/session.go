@@ -39,26 +39,6 @@ type SessionStats struct {
 	NodeRecosts int64
 }
 
-// callDurKey identifies a call node's duration inputs: within one problem a
-// call name fixes (role, type, workload, model), so the duration varies only
-// with the assignment. The session is bound to one estimator, so the
-// calibration is fixed and needs no key component.
-type callDurKey struct {
-	name string
-	a    core.Assignment
-}
-
-// commDurKey identifies a transfer-style node's duration inputs: (kind,
-// role, bytes, src, dst). The role pins the model config a realloc schedule
-// depends on; data transfers leave it empty, exactly like the
-// augmented-graph builder.
-type commDurKey struct {
-	kind     core.Kind
-	role     dfg.Role
-	bytes    int64
-	src, dst core.Assignment
-}
-
 // canonCommAssignment canonicalizes a transfer endpoint for memoization:
 // communication schedules (realloc.PlanParams, realloc.PlanData) and offload
 // reload times are pure functions of the endpoint meshes and the DP/TP/PP
@@ -79,47 +59,56 @@ func canonCommAssignment(a core.Assignment) core.Assignment {
 	return a
 }
 
-// nodeSig is the full duration signature of one arena slot: every input the
-// node's duration depends on, in one comparable struct. Call nodes carry
-// (name, assignment) in (name, src); transfer-style nodes carry (kind, role,
-// bytes, canonical endpoints). Equal signatures imply equal durations, so a
-// slot whose signature survives a rebuild reuses its duration with a single
-// struct comparison — no map hashing. The signature alone determines the
-// value even when a structural change shifts arena slots; a stale slot
-// simply misses and falls back to the memo maps.
+// noSource is the endpoint ID of an offload node's source: host memory, not
+// an assignment.
+const noSource int32 = -1
+
+// nodeSig is the full duration signature of one augmented-graph node: every
+// input the node's duration depends on, as dense integers. Call nodes carry
+// their call index and the ID of their assignment with Offload cleared;
+// transfer-style nodes carry (kind, role index, bytes, canonical src/dst
+// endpoint IDs), with role index -1 for data transfers, which the
+// augmented-graph builder leaves role-less. Assignment IDs come from the session's intern table, a
+// bijection between assignments and IDs, so equal signatures imply equal
+// durations. A node whose signature survives a rebuild reuses its duration
+// with a single 24-byte comparison; a miss falls back to the duration memo,
+// keyed by the same signature. The key is a plain comparable struct, so Go's
+// equality covers every field by construction.
 type nodeSig struct {
-	kind     core.Kind
-	name     string
-	role     dfg.Role
+	kind     int32
+	idx      int32
 	bytes    int64
-	src, dst core.Assignment
+	src, dst int32
 }
 
-// staticKey identifies one role's resting-memory inputs. off is the plan's
-// RoleOffloaded verdict: a flip on any of the role's calls — not just the
-// home call — moves the resting bf16 copy in or out of host memory, so the
-// (role, home) pair alone would go stale under single-offload-flip
-// mutations.
-type staticKey struct {
-	role dfg.Role
-	home core.Assignment
-	off  bool
+// staticKey identifies one role's resting-memory inputs: the role, its home
+// assignment ID, and the plan's RoleOffloaded verdict (0/1). A flip on any
+// of the role's calls — not just the home call — moves the resting bf16
+// copy in or out of host memory, so the (role, home) pair alone would go
+// stale under single-offload-flip mutations.
+type staticKey struct{ role, home, off int32 }
+
+// activeKey identifies one call's transient-memory inputs: the call index
+// (which fixes role, type, workload and model), its assignment ID, and its
+// role's home assignment ID (resident weights are discounted at home).
+type activeKey struct{ call, a, home int32 }
+
+// memoEntry caches one node's last duration, or one call's or role's last
+// memory term, for the session's compare-before-hash fast paths.
+type memoEntry[K comparable, V any] struct {
+	key K
+	v   V
+	ok  bool
 }
 
-// activeSigEntry caches one call's last active-bytes computation for the
-// maxMem fast path.
-type activeSigEntry struct {
-	a, home core.Assignment
-	act     int64
-	ok      bool
-}
-
-// activeKey identifies one call's transient-memory inputs: the footprint
-// depends on the call (name fixes role/type/workload), its assignment, and
-// the role's home (resident weights are discounted at home).
-type activeKey struct {
-	name    string
-	a, home core.Assignment
+// callIDs is one distinct call's resolved assignment in the plan last
+// evaluated, with its three interned IDs: the full assignment (memory
+// terms), the assignment with Offload cleared (the call node's duration),
+// and its canonCommAssignment (transfer endpoints).
+type callIDs struct {
+	a                  core.Assignment
+	ok                 bool
+	full, noOff, canon int32
 }
 
 // EvalSession is a reusable, allocation-free incremental evaluator for one
@@ -130,9 +119,15 @@ type activeKey struct {
 //   - the augmented graph is rebuilt in place by a core.Builder prepared
 //     once per dataflow graph: the same construction core.BuildAugGraph
 //     runs, into a reused node arena;
-//   - node durations and per-role memory terms are memoized in session-local
-//     maps keyed by value types, so a proposal that moves one RPC only
-//     recosts the mutated call and its induced realloc/transfer neighbors;
+//   - every distinct call's assignment is read once per evaluation (from
+//     the builder) and interned to a dense ID only when it changed since the
+//     previous evaluation;
+//   - node durations and per-role/per-call memory terms are memoized in
+//     session-local maps keyed by small structs of those IDs and of the
+//     dense call and role indices prepared per graph, so a proposal that
+//     moves one RPC only recosts the mutated call and its induced
+//     realloc/transfer neighbors, and no memo key holds a string or a full
+//     assignment;
 //   - the Algorithm 1 simulation runs over scratch buffers.
 //
 // A session is single-goroutine state (each search chain owns one) and
@@ -151,38 +146,56 @@ type EvalSession struct {
 	fallback DurationFunc
 
 	// Prepared once per dataflow graph: the builder that rebuilds the
-	// augmented graph in place, plus the memory pass's per-role call lists
-	// and the first node of each distinct call name (its dedup order).
-	graph       *dfg.Graph
-	builder     *core.Builder
-	roleCalls   map[dfg.Role][]string
-	firstByName []*dfg.Node
+	// augmented graph in place; the first node of each distinct call name
+	// (the memory pass's dedup order, and the call index space); per dfg
+	// node ID its call and role index, parents and first edge slot; the
+	// graph's roles in first-appearance order with each role's calls and
+	// home call index.
+	graph     *dfg.Graph
+	builder   *core.Builder
+	calls     []*dfg.Node
+	callOf    []int32
+	roleOf    []int32
+	parents   [][]*dfg.Node
+	edgeSlot  []int
+	roles     []dfg.Role
+	roleCalls [][]int32
+	homeCall  []int32
+
+	// ids interns assignments to dense IDs; noOffOf and canonOf map an ID to
+	// the IDs of its Offload-cleared and canonCommAssignment forms, so a
+	// recurring assignment costs one map lookup, not three. The table is
+	// independent of the graph, so it survives a rebind. resolved holds
+	// each call's IDs under the plan last evaluated.
+	ids      map[core.Assignment]int32
+	noOffOf  []int32
+	canonOf  []int32
+	resolved []callIDs
 
 	durations []float64
 	sim       simScratch
 
-	// Per-arena-slot duration fast path: the signature and duration each slot
-	// held after its last successful costing. Between consecutive evaluations
-	// of single-call mutations most slots rebuild with identical signatures,
-	// so the common case is one struct compare per node instead of a memo-map
-	// lookup.
-	sigs      []nodeSig
-	sigDur    []float64
-	sigFilled []bool
+	// Per-node duration fast path: the signature and duration each node last
+	// had, indexed by a slot that names the node independently of arena
+	// position (slotOf) — a realloc node appearing early in the arena does
+	// not shift the slots of the nodes after it. Between consecutive
+	// evaluations of single-call mutations only the mutated call's nodes and
+	// their neighbors change signature, so the common case is one struct
+	// compare per node instead of a memo-map lookup.
+	last []memoEntry[nodeSig, float64]
 
 	// Session-local memos (single-goroutine, lock-free).
-	callDur   map[callDurKey]float64
-	commDur   map[commDurKey]float64
+	dur       map[nodeSig]float64
 	staticMem map[staticKey]int64
 	activeMem map[activeKey]int64
 	static    []int64
 	peak      []int64
 
-	// Per-call active-bytes fast path, indexed by firstByName position (the
-	// memory pass's fixed iteration order): like sigs/sigDur, one struct
-	// compare replaces a memo-map hash when the call's assignment and its
-	// role's home are unchanged.
-	activeSig []activeSigEntry
+	// Per-role static and per-call active fast paths: like last, one struct
+	// compare replaces a memo-map hash when the key is unchanged since the
+	// previous evaluation.
+	staticSig []memoEntry[staticKey, int64]
+	activeSig []memoEntry[activeKey, int64]
 
 	stats SessionStats
 }
@@ -194,15 +207,13 @@ func (e *Estimator) NewSession(fallback DurationFunc) *EvalSession {
 	if fallback == nil {
 		fallback = e.NodeDuration
 	}
-	// The memo maps are pre-sized for a search-length solve: growing them
-	// from empty re-hashes thousands of large value-type keys per solve,
-	// which showed up as double-digit percentages of search profiles.
+	// The memo maps are pre-sized for a search-length solve, so a solve does
+	// not spend its first thousand proposals growing them.
 	return &EvalSession{
-		e:        e,
-		fallback: fallback,
-		callDur:  make(map[callDurKey]float64, 2048),
-		commDur:  make(map[commDurKey]float64, 4096),
-
+		e:         e,
+		fallback:  fallback,
+		ids:       make(map[core.Assignment]int32, 1024),
+		dur:       make(map[nodeSig]float64, 4096),
 		staticMem: make(map[staticKey]int64, 256),
 		activeMem: make(map[activeKey]int64, 2048),
 	}
@@ -224,26 +235,25 @@ func (s *EvalSession) Evaluate(p *core.Plan) (PlanCost, error) {
 	if err := s.e.checkMeshes(g.Nodes); err != nil {
 		return PlanCost{}, err
 	}
+	s.resolve()
 	nodes := g.Nodes
 	s.durations = growFloats(s.durations, len(nodes))
-	for len(s.sigs) < len(nodes) {
-		s.sigs = append(s.sigs, nodeSig{})
-		s.sigDur = append(s.sigDur, 0)
-		s.sigFilled = append(s.sigFilled, false)
-	}
 	for i, n := range nodes {
 		s.stats.NodeLookups++
-		sig := sigOf(p, n)
-		if s.sigFilled[i] && s.sigs[i] == sig {
-			s.durations[i] = s.sigDur[i]
-			continue
+		sig := s.sigOf(n)
+		last := &s.last[s.slotOf(n)]
+		if !last.ok || last.key != sig {
+			d, ok := s.dur[sig]
+			if !ok {
+				s.stats.NodeRecosts++
+				if d, err = s.fallback(p, n); err != nil {
+					return PlanCost{}, err
+				}
+				s.dur[sig] = d
+			}
+			*last = memoEntry[nodeSig, float64]{key: sig, v: d, ok: true}
 		}
-		d, err := s.duration(p, n, sig)
-		if err != nil {
-			return PlanCost{}, err
-		}
-		s.durations[i] = d
-		s.sigs[i], s.sigDur[i], s.sigFilled[i] = sig, d, true
+		s.durations[i] = last.v
 	}
 	makespan := s.sim.run(nodes, s.durations, s.e.HW.NumGPUs(), s.e.OverlapComm, nil)
 	pc := PlanCost{TimeCost: makespan, MaxMem: s.maxMem(p)}
@@ -253,8 +263,7 @@ func (s *EvalSession) Evaluate(p *core.Plan) (PlanCost, error) {
 }
 
 // prepare (re)binds the session to the plan's dataflow graph: a fresh
-// augmented-graph builder, and the memory pass's per-role call lists and
-// first node of each distinct call name.
+// augmented-graph builder, and the dense call and role indices.
 func (s *EvalSession) prepare(p *core.Plan) error {
 	if s.graph == p.Graph {
 		return nil
@@ -264,100 +273,151 @@ func (s *EvalSession) prepare(p *core.Plan) error {
 		return err
 	}
 	s.graph, s.builder = p.Graph, b
-	s.firstByName = s.firstByName[:0]
-	seen := make(map[string]bool, len(p.Graph.Nodes))
-	s.roleCalls = make(map[dfg.Role][]string, 4)
-	for _, n := range p.Graph.Nodes {
-		if !seen[n.Name] {
-			seen[n.Name] = true
-			s.firstByName = append(s.firstByName, n)
-			s.roleCalls[n.Role] = append(s.roleCalls[n.Role], n.Name)
+	nodes := p.Graph.Nodes
+	s.calls, s.roles, s.roleCalls = s.calls[:0], s.roles[:0], s.roleCalls[:0]
+	s.callOf = make([]int32, len(nodes))
+	s.roleOf = make([]int32, len(nodes))
+	callIdx := make(map[string]int32, len(nodes))
+	roleIdx := make(map[dfg.Role]int32, 4)
+	for _, n := range nodes {
+		r, ok := roleIdx[n.Role]
+		if !ok {
+			r = int32(len(s.roles))
+			roleIdx[n.Role] = r
+			s.roles = append(s.roles, n.Role)
+			s.roleCalls = append(s.roleCalls, nil)
 		}
+		c, ok := callIdx[n.Name]
+		if !ok {
+			c = int32(len(s.calls))
+			callIdx[n.Name] = c
+			s.calls = append(s.calls, n)
+			s.roleCalls[r] = append(s.roleCalls[r], c)
+		}
+		s.callOf[n.ID], s.roleOf[n.ID] = c, r
 	}
-	s.activeSig = make([]activeSigEntry, len(s.firstByName))
-	// The memos key on (name, assignment) and (role, home) — both fixed by
-	// the graph+models pair — so a graph change must drop them, along with
-	// the per-slot signature fast path.
-	clear(s.callDur)
-	clear(s.commDur)
+	s.homeCall = make([]int32, len(s.roles))
+	for _, n := range s.calls {
+		s.homeCall[s.roleOf[n.ID]] = s.callOf[b.Home(n).ID]
+	}
+	// Slots: one per call node, one per call's realloc-or-offload node (a
+	// call has at most one), then one per data edge.
+	slots := 2 * len(nodes)
+	s.parents = make([][]*dfg.Node, len(nodes))
+	s.edgeSlot = make([]int, len(nodes))
+	for _, n := range nodes {
+		s.parents[n.ID] = p.Graph.Parents(n)
+		s.edgeSlot[n.ID] = slots
+		slots += len(s.parents[n.ID])
+	}
+	s.last = make([]memoEntry[nodeSig, float64], slots)
+	s.resolved = make([]callIDs, len(s.calls))
+	s.staticSig = make([]memoEntry[staticKey, int64], len(s.roles))
+	s.activeSig = make([]memoEntry[activeKey, int64], len(s.calls))
+	// The memos key on call and role indices, which only mean something
+	// for the graph they were prepared for, so a graph change must drop
+	// them; the fast paths above were reallocated empty.
+	clear(s.dur)
 	clear(s.staticMem)
 	clear(s.activeMem)
-	for i := range s.sigFilled {
-		s.sigFilled[i] = false
-	}
 	return nil
 }
 
-// sigOf assembles one arena node's duration signature. Call nodes use their
-// (name, assignment) with Offload cleared — a call's compute duration does
-// not depend on how its weights arrived, so a single offload flip re-costs
-// only the appearing/disappearing offload node, not the call — and
-// transfer-style nodes their (kind, role, bytes) and canonicalized
-// endpoints.
-func sigOf(p *core.Plan, n *core.AugNode) nodeSig {
-	if n.Kind == core.KindCall {
-		a := p.Assign[n.Call.Name]
-		a.Offload = false
-		return nodeSig{kind: core.KindCall, name: n.Call.Name, src: a}
+// slotOf names an augmented node independently of its arena position: its
+// call's dfg node ID for a call node, offset by the dfg node count for the
+// call's realloc or offload node, and its edge's slot for a data transfer.
+// Two nodes sharing a slot would only cost fast-path hits: the slot is
+// trusted only when its stored signature equals the node's.
+func (s *EvalSession) slotOf(n *core.AugNode) int {
+	d := n.Call.ID
+	switch n.Kind {
+	case core.KindCall:
+		return d
+	case core.KindDataTransfer:
+		for i, par := range s.parents[d] {
+			if par == n.From {
+				return s.edgeSlot[d] + i
+			}
+		}
 	}
-	return nodeSig{
-		kind: n.Kind, role: n.Role, bytes: n.Bytes,
-		src: canonCommAssignment(n.Src), dst: canonCommAssignment(n.Dst),
+	return len(s.callOf) + d
+}
+
+// intern returns a's dense ID, assigning the next one on first sight.
+func (s *EvalSession) intern(a core.Assignment) int32 {
+	if id, ok := s.ids[a]; ok {
+		return id
+	}
+	id := int32(len(s.ids))
+	s.ids[a] = id
+	s.noOffOf = append(s.noOffOf, -1)
+	s.canonOf = append(s.canonOf, -1)
+	return id
+}
+
+// resolve reads every distinct call's assignment from the last Build and
+// re-interns only the calls whose assignment changed since the previous
+// evaluation — after a single-call mutation, one.
+func (s *EvalSession) resolve() {
+	for i, n := range s.calls {
+		a := s.builder.Assignment(n)
+		c := &s.resolved[i]
+		if c.ok && c.a == a {
+			continue
+		}
+		id := s.intern(a)
+		if s.noOffOf[id] < 0 {
+			noOff := a
+			noOff.Offload = false
+			s.noOffOf[id] = s.intern(noOff)
+			s.canonOf[id] = s.intern(canonCommAssignment(a))
+		}
+		*c = callIDs{a: a, ok: true, full: id, noOff: s.noOffOf[id], canon: s.canonOf[id]}
 	}
 }
 
-// duration memoizes one arena node's duration in the session-local maps,
-// consulting the fallback only on a local miss. The keys hold exactly the
-// node's cost inputs, so an entry is invalidated exactly when a
-// mutation changes the node's cost inputs: a call node by its assignment, a
-// transfer-style node by its (kind, role, bytes, endpoints). sig must be
-// sigOf(p, n); its fields double as the map keys.
-func (s *EvalSession) duration(p *core.Plan, n *core.AugNode, sig nodeSig) (float64, error) {
+// sigOf assembles one arena node's duration signature from the resolved
+// call IDs. Call nodes use their assignment with Offload cleared — a call's
+// compute duration does not depend on how its weights arrived, so a single
+// offload flip re-costs only the appearing/disappearing offload node, not
+// the call — and transfer-style nodes their (kind, role, bytes) and
+// canonicalized endpoints: a realloc's source is its role's home, a data
+// transfer's the producing call, an offload's host memory.
+func (s *EvalSession) sigOf(n *core.AugNode) nodeSig {
+	dst := s.callOf[n.Call.ID]
 	if n.Kind == core.KindCall {
-		k := callDurKey{name: sig.name, a: sig.src}
-		if d, ok := s.callDur[k]; ok {
-			return d, nil
-		}
-		s.stats.NodeRecosts++
-		d, err := s.fallback(p, n)
-		if err != nil {
-			return 0, err
-		}
-		s.callDur[k] = d
-		return d, nil
+		return nodeSig{kind: int32(core.KindCall), idx: dst, src: s.resolved[dst].noOff}
 	}
-	k := commDurKey{kind: sig.kind, role: sig.role, bytes: sig.bytes, src: sig.src, dst: sig.dst}
-	if d, ok := s.commDur[k]; ok {
-		return d, nil
+	sig := nodeSig{kind: int32(n.Kind), idx: -1, bytes: n.Bytes, src: noSource, dst: s.resolved[dst].canon}
+	switch n.Kind {
+	case core.KindParamRealloc:
+		r := s.roleOf[n.Call.ID]
+		sig.idx, sig.src = r, s.resolved[s.homeCall[r]].canon
+	case core.KindOffload:
+		sig.idx = s.roleOf[n.Call.ID]
+	case core.KindDataTransfer:
+		sig.src = s.resolved[s.callOf[n.From.ID]].canon
 	}
-	s.stats.NodeRecosts++
-	d, err := s.fallback(p, n)
-	if err != nil {
-		return 0, err
-	}
-	s.commDur[k] = d
-	return d, nil
+	return sig
 }
 
 // roleOffloaded mirrors core.Plan.RoleOffloaded over the prepared per-role
 // call lists: true iff the role has calls and every one offloads.
-func (s *EvalSession) roleOffloaded(p *core.Plan, role dfg.Role) bool {
-	names := s.roleCalls[role]
-	if len(names) == 0 {
-		return false
-	}
-	for _, name := range names {
-		if !p.Assign[name].Offload {
+func (s *EvalSession) roleOffloaded(r int32) bool {
+	for _, c := range s.roleCalls[r] {
+		if !s.resolved[c].a.Offload {
 			return false
 		}
 	}
-	return true
+	return len(s.roleCalls[r]) > 0
 }
 
 // maxMem computes MaxMem(Gp) with the same arithmetic as Estimator.memory,
 // memoizing the per-role static footprint and per-call active footprint. It
 // spans the estimator's cluster: every mesh was bounds-checked against it,
-// and devices no call occupies add nothing to the maximum.
+// and devices no call occupies add nothing to the maximum. Roles the plan
+// models but the graph never calls rest nowhere (HomeOf reports none), so
+// iterating the graph's prepared roles covers every static term.
 func (s *EvalSession) maxMem(p *core.Plan) int64 {
 	n := s.e.HW.NumGPUs()
 	if cap(s.static) < n {
@@ -369,49 +429,50 @@ func (s *EvalSession) maxMem(p *core.Plan) int64 {
 		static[i], peak[i] = 0, 0
 	}
 
-	for role, ms := range p.Models {
-		homeName, ok := s.builder.HomeCall(role)
-		if !ok {
-			continue // role not in the graph, as HomeOf reports
+	for r, role := range s.roles {
+		home := &s.resolved[s.homeCall[r]]
+		off := s.roleOffloaded(int32(r))
+		k := staticKey{role: int32(r), home: home.full}
+		if off {
+			k.off = 1
 		}
-		home := p.Assign[homeName]
-		off := s.roleOffloaded(p, role)
-		k := staticKey{role: role, home: home, off: off}
-		b, ok := s.staticMem[k]
-		if !ok {
-			b = memory.Static(ms.Params(), home.Strategy, memory.StaticOpts{
-				Trainable:            ms.Trainable,
-				ShardOptimizerOverDP: true,
-				OffloadParams:        off,
-			})
-			s.staticMem[k] = b
+		sg := &s.staticSig[r]
+		if !sg.ok || sg.key != k {
+			b, ok := s.staticMem[k]
+			if !ok {
+				ms := p.Models[role]
+				b = memory.Static(ms.Params(), home.a.Strategy, memory.StaticOpts{
+					Trainable:            ms.Trainable,
+					ShardOptimizerOverDP: true,
+					OffloadParams:        off,
+				})
+				s.staticMem[k] = b
+			}
+			*sg = memoEntry[staticKey, int64]{key: k, v: b, ok: true}
 		}
-		for gpu := home.Mesh.First; gpu < home.Mesh.First+home.Mesh.Count; gpu++ {
-			static[gpu] += b
+		m := home.a.Mesh
+		for gpu := m.First; gpu < m.First+m.Count; gpu++ {
+			static[gpu] += sg.v
 		}
 	}
 
-	for i, node := range s.firstByName {
-		a := p.Assign[node.Name]
-		homeName, _ := s.builder.HomeCall(node.Role)
-		home := p.Assign[homeName]
+	for i, node := range s.calls {
+		c := &s.resolved[i]
+		home := &s.resolved[s.homeCall[s.roleOf[node.ID]]]
+		k := activeKey{call: int32(i), a: c.full, home: home.full}
 		sg := &s.activeSig[i]
-		var act int64
-		if sg.ok && sg.a == a && sg.home == home {
-			act = sg.act
-		} else {
-			k := activeKey{name: node.Name, a: a, home: home}
-			var hit bool
-			act, hit = s.activeMem[k]
-			if !hit {
-				act = CallActiveBytes(p, node)
+		if !sg.ok || sg.key != k {
+			act, ok := s.activeMem[k]
+			if !ok {
+				act = activeBytes(p.Models[node.Role], node, c.a, home.a)
 				s.activeMem[k] = act
 			}
-			*sg = activeSigEntry{a: a, home: home, act: act, ok: true}
+			*sg = memoEntry[activeKey, int64]{key: k, v: act, ok: true}
 		}
-		for gpu := a.Mesh.First; gpu < a.Mesh.First+a.Mesh.Count; gpu++ {
-			if act > peak[gpu] {
-				peak[gpu] = act
+		m := c.a.Mesh
+		for gpu := m.First; gpu < m.First+m.Count; gpu++ {
+			if sg.v > peak[gpu] {
+				peak[gpu] = sg.v
 			}
 		}
 	}

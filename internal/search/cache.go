@@ -11,28 +11,39 @@ import (
 
 // CostCache memoizes one estimator's plan-level results, safely shared by
 // concurrent search chains and solver invocations: a plan revisited by any
-// chain is never re-simulated. Entries are keyed by the plan's canonical
-// Fingerprint alone. A cache is bound to the estimator it was built for, so
-// the schedule semantics (OverlapComm) and calibration are fixed per cache
-// and serialized, overlap-aware and calibrated problems can never read each
-// other's entries. Node durations are memoized per chain by each
-// estimator.EvalSession, not here.
+// chain is never re-simulated. A cache is bound to the estimator it was
+// built for, so the schedule semantics (OverlapComm) and calibration are
+// fixed per cache and serialized, overlap-aware and calibrated problems can
+// never read each other's entries. Node durations are memoized per chain by
+// each estimator.EvalSession, not here.
+//
+// The cache keeps two indexes. plans holds full Results of chosen plans,
+// keyed by the plan's canonical Fingerprint. costs, the compact index the
+// solvers' proposal loop reads, is keyed by a packed vector of dense
+// assignment IDs: the cache owns the intern table that assigns them, so
+// every chain and every solve over the cache agrees on them, and a key
+// costs 4 bytes per call instead of a rendered fingerprint string.
 //
 // Cached Results are shared pointers and must be treated as immutable.
 //
-// A cache also assumes one problem: plan fingerprints name calls, not their
-// (role, workload, model). Never share one across different problems.
+// A cache also assumes one problem: plan fingerprints and packed keys name
+// calls, not their (role, workload, model). Never share one across
+// different problems.
 type CostCache struct {
 	est *estimator.Estimator
 
 	mu    sync.RWMutex
 	plans map[string]*estimator.Result
 	// costs is the compact plan-cost index: the PlanCost summary of every
-	// plan scored through the solvers' incremental sessions, keyed exactly
-	// like plans. It is deliberately separate from plans — the hot path
-	// never materializes timelines, and full Results are only built for
-	// chosen plans — but both maps count into the same hit/miss statistics.
+	// plan scored through the solvers' incremental sessions, keyed by the
+	// plan's packed assignment IDs (planEvaluator.key). It is deliberately
+	// separate from plans — the hot path never materializes timelines, and
+	// full Results are only built for chosen plans — but both maps count
+	// into the same hit/miss statistics.
 	costs map[string]estimator.PlanCost
+	// ids interns assignments to dense IDs, starting at 1 (0 encodes an
+	// unassigned call in packed keys). Guarded by mu.
+	ids map[core.Assignment]uint32
 
 	hits, misses atomic.Int64
 }
@@ -43,6 +54,7 @@ func NewCostCache(e *estimator.Estimator) *CostCache {
 		est:   e,
 		plans: make(map[string]*estimator.Result),
 		costs: make(map[string]estimator.PlanCost),
+		ids:   make(map[core.Assignment]uint32),
 	}
 }
 
@@ -79,6 +91,26 @@ func (c *CostCache) count(hit bool) {
 	} else {
 		c.misses.Add(1)
 	}
+}
+
+// intern returns a's dense ID, assigning the next one on first sight.
+// Concurrent chains may race to intern the same assignment; the write lock
+// re-checks, so every caller sees one ID per assignment.
+func (c *CostCache) intern(a core.Assignment) uint32 {
+	c.mu.RLock()
+	id, ok := c.ids[a]
+	c.mu.RUnlock()
+	if ok {
+		return id
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if id, ok := c.ids[a]; ok {
+		return id
+	}
+	id = uint32(len(c.ids) + 1)
+	c.ids[a] = id
+	return id
 }
 
 // planCost looks up the compact plan-cost index. The key is a byte slice so

@@ -1,11 +1,13 @@
 package search
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"realhf/internal/core"
+	"realhf/internal/dfg"
 	"realhf/internal/estimator"
 	"realhf/internal/model"
 )
@@ -179,5 +181,212 @@ func TestDeltaCostingConcurrentSharedCache(t *testing.T) {
 	mutatePlans(t, e, newPlanEvaluator(cache, p).cost, p, sets, 1, trials, muts)
 	if got := cache.Hits() - hits; got != trials*muts {
 		t.Errorf("replayed walk hit the shared cache %d times, want %d", got, trials*muts)
+	}
+}
+
+// walkHomeAndOffload drives cost through a mutation walk of the two moves
+// the interned session must track beyond plain re-draws: moving a role's
+// home call (every same-role call's realloc source and active-memory
+// discount changes with it) and flipping a frozen call's host offload (the
+// role's resting-memory verdict can change). Every step is checked against
+// a from-scratch Estimator.Evaluate, bit for bit.
+func walkHomeAndOffload(t *testing.T, e *estimator.Estimator, cost func(*core.Plan) (estimator.PlanCost, error),
+	p *core.Plan, sets map[string][]core.Assignment, seed int64, steps int) {
+	t.Helper()
+	var homes, frozen []string
+	for _, n := range p.Graph.Nodes {
+		if n.Iter != 0 {
+			continue
+		}
+		if n.Type == dfg.Train {
+			homes = append(homes, n.Name)
+		} else if !p.Models[n.Role].Trainable {
+			frozen = append(frozen, n.Name)
+		}
+	}
+	if len(homes) == 0 || len(frozen) == 0 {
+		t.Fatalf("graph %s has no home or frozen calls to mutate", p.Graph.Algo)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	plan := p.Clone()
+	for _, n := range plan.CallNames() {
+		plan.Assign[n] = sets[n][rng.Intn(len(sets[n]))]
+	}
+	for step := 0; step < steps; step++ {
+		switch step % 3 {
+		case 0:
+			n := homes[rng.Intn(len(homes))]
+			plan.Assign[n] = sets[n][rng.Intn(len(sets[n]))]
+		case 1:
+			n := frozen[rng.Intn(len(frozen))]
+			a := plan.Assign[n]
+			a.Offload = !a.Offload
+			plan.Assign[n] = a
+		default:
+			names := plan.CallNames()
+			n := names[rng.Intn(len(names))]
+			plan.Assign[n] = sets[n][rng.Intn(len(sets[n]))]
+		}
+		got, err := cost(plan)
+		if err != nil {
+			t.Fatalf("%s step %d: incremental: %v", p.Graph.Algo, step, err)
+		}
+		full, err := e.Evaluate(plan)
+		if err != nil {
+			t.Fatalf("%s step %d: full: %v", p.Graph.Algo, step, err)
+		}
+		if want := estimator.CostOf(full); got != want {
+			t.Fatalf("%s step %d: session diverged from full Evaluate:\n got %+v\nwant %+v\nplan %s",
+				p.Graph.Algo, step, got, want, plan.Fingerprint())
+		}
+	}
+}
+
+// TestDeltaCostingSessionRebind re-binds one EvalSession across dataflow
+// graphs — a one-iteration PPO graph, a two-iteration PPO graph (same call
+// names, twice the nodes and cross-iteration version edges) and a
+// two-iteration GRPO graph (a different role set) — and back, under home-call
+// moves and offload flips. Call and role indices mean different things per
+// graph, so a rebind that kept any index-keyed memo would diverge from full
+// evaluation; the assignment intern table, which survives rebinds, must not.
+func TestDeltaCostingSessionRebind(t *testing.T) {
+	p1, e := newProblem(t, 1, model.LLaMA7B, model.LLaMA7B, 64, 256, 256)
+	spec := dfg.Spec{Batch: 64, PromptLen: 256, GenLen: 256, MiniBatches: 8, Iterations: 2, GroupSize: 4}
+	ppo2 := dfg.BuildPPO(spec)
+	grpo2 := dfg.BuildGRPO(spec)
+	p2 := core.NewPlan(p1.Cluster, ppo2, p1.Models)
+	p3 := core.NewPlan(p1.Cluster, grpo2, core.ModelsFor(grpo2, model.LLaMA7B, model.LLaMA7B))
+	var sets []map[string][]core.Assignment
+	for _, p := range []*core.Plan{p1, p2, p3} {
+		s, _, err := candidateSets(p, PruneModerate, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets = append(sets, s)
+	}
+	for name, ev := range deltaVariants(t, e) {
+		t.Run(name, func(t *testing.T) {
+			sess := ev.NewSession(nil)
+			for i, k := range []int{0, 1, 0, 2, 1, 0} {
+				p := []*core.Plan{p1, p2, p3}[k]
+				walkHomeAndOffload(t, ev, sess.Evaluate, p, sets[k], int64(31+i), 30)
+			}
+			if st := sess.Stats(); st.NodeRecosts >= st.NodeLookups {
+				t.Errorf("session never reused a node duration: %+v", st)
+			}
+		})
+	}
+}
+
+// TestCostCacheKeys pins the packed plan-cost key: plans differing only in
+// one call's Mesh.First, MicroBatches, ZeRO3 or Offload get distinct keys,
+// and one plan gets one key whichever evaluator (chain) or solve builds it
+// and whatever order its assignment map was filled in.
+func TestCostCacheKeys(t *testing.T) {
+	p, e := newProblem(t, 2, model.LLaMA7B, model.LLaMA7B, 64, 256, 256)
+	base := greedySeed(t, e, p)
+	cache := NewCostCache(e)
+	chainA, chainB := newPlanEvaluator(cache, p), newPlanEvaluator(cache, p)
+	key := func(ev *planEvaluator, p *core.Plan) string { return string(ev.key(p)) }
+
+	const call = "RefInf"
+	variants := map[string]func(*core.Assignment){
+		"Mesh.First":   func(a *core.Assignment) { a.Mesh.First += a.Mesh.Count },
+		"MicroBatches": func(a *core.Assignment) { a.Strategy.MicroBatches++ },
+		"ZeRO3":        func(a *core.Assignment) { a.Strategy.ZeRO3 = !a.Strategy.ZeRO3 },
+		"Offload":      func(a *core.Assignment) { a.Offload = !a.Offload },
+	}
+	seen := map[string]string{key(chainA, base): "base"}
+	for _, field := range []string{"Mesh.First", "MicroBatches", "ZeRO3", "Offload"} {
+		q := base.Clone()
+		a := q.Assign[call]
+		variants[field](&a)
+		q.Assign[call] = a
+		k := key(chainA, q)
+		if prev, dup := seen[k]; dup {
+			t.Errorf("plan differing in %s has the same packed key as %s", field, prev)
+		}
+		seen[k] = field
+		if kb := key(chainB, q); kb != k {
+			t.Errorf("%s variant: chain B packed key %x, chain A %x", field, kb, k)
+		}
+	}
+	// The same assignments inserted in reverse order, through a chain that
+	// last keyed a different plan.
+	names := base.CallNames()
+	rev := core.NewPlan(base.Cluster, base.Graph, base.Models)
+	for i := len(names) - 1; i >= 0; i-- {
+		rev.Assign[names[i]] = base.Assign[names[i]]
+	}
+	if key(chainB, rev) != key(chainA, base) {
+		t.Error("equal plans keyed differently by two chains")
+	}
+	// A later solve over the same cache builds fresh evaluators; its keys
+	// must match, or it would miss every plan the first solve scored.
+	if key(newPlanEvaluator(cache, p), base) != key(chainA, base) {
+		t.Error("equal plans keyed differently by two solves")
+	}
+	prob := Problem{Est: e, Plan: p}
+	opt := Options{Seed: 4, MaxSteps: 300, Cache: NewCostCache(e)}
+	if _, _, err := Solve(context.Background(), "mcmc", prob, opt); err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := Solve(context.Background(), "mcmc", prob, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CacheMisses != 0 {
+		t.Errorf("replayed solve over a shared cache missed %d times, want 0", st.CacheMisses)
+	}
+}
+
+// TestParallelChainsShareCache runs two parallel-mcmc solves of four chains
+// each at once over one CostCache, so eight chains race on its plan-cost
+// index and its assignment intern table. Run under -race it checks the
+// cache's locking; either way each solve must return exactly the plan and
+// cost it returns alone on a fresh cache, and the cost must equal a full
+// evaluation of that plan.
+func TestParallelChainsShareCache(t *testing.T) {
+	p, e := newProblem(t, 2, model.LLaMA7B, model.LLaMA7B, 128, 256, 256)
+	prob := Problem{Est: e, Plan: p}
+	opts := func(seed int64, cache *CostCache) Options {
+		return Options{Seed: seed, MaxSteps: 400, Chains: 4, ExchangeEvery: 64, Cache: cache}
+	}
+	seeds := []int64{3, 8}
+	solo := make([]Solution, len(seeds))
+	for i, seed := range seeds {
+		sol, _, err := Solve(context.Background(), "parallel-mcmc", prob, opts(seed, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		solo[i] = sol
+	}
+	shared := NewCostCache(e)
+	got := make([]Solution, len(seeds))
+	errs := make([]error, len(seeds))
+	var wg sync.WaitGroup
+	for i, seed := range seeds {
+		wg.Add(1)
+		go func(i int, seed int64) {
+			defer wg.Done()
+			got[i], _, errs[i] = Solve(context.Background(), "parallel-mcmc", prob, opts(seed, shared))
+		}(i, seed)
+	}
+	wg.Wait()
+	for i := range seeds {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i].Plan.Fingerprint() != solo[i].Plan.Fingerprint() || got[i].Cost != solo[i].Cost {
+			t.Errorf("seed %d: shared-cache solve chose %s at %v, alone %s at %v", seeds[i],
+				got[i].Plan.Fingerprint(), got[i].Cost, solo[i].Plan.Fingerprint(), solo[i].Cost)
+		}
+		full, err := e.Evaluate(got[i].Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Cost != got[i].Cost {
+			t.Errorf("seed %d: solve cost %v, full evaluation %v", seeds[i], got[i].Cost, full.Cost)
+		}
 	}
 }

@@ -19,8 +19,9 @@ func greedyFromSets(e *estimator.Estimator, p *core.Plan, sets map[string][]core
 	for name, n := range byName {
 		best := math.Inf(1)
 		var bestA core.Assignment
+		timeOf := shapeTimer(e, p, n)
 		for _, a := range sets[name] {
-			t, err := callTime(e, p, n, a)
+			t, err := timeOf(a)
 			if err != nil {
 				continue
 			}

@@ -3,8 +3,8 @@
 // Metropolis–Hastings MCMC walker, a parallel multi-chain MCMC solver with
 // periodic best-plan exchange, and a bounded exhaustive search used as the
 // optimality reference of Fig. 15. All solvers share a concurrency-safe
-// memoized cost cache keyed by canonical plan fingerprints, so no plan is
-// costed twice across chains or solves.
+// memoized cost cache keyed by packed per-call assignment IDs, so no plan
+// is costed twice across chains or solves.
 package search
 
 import (
@@ -400,6 +400,19 @@ func candidates(p *core.Plan, call *dfg.Node, lvl PruneLevel, meshes []mesh.Mesh
 	return out
 }
 
+// ErrNoLegalAssignment reports a call with no legal candidate assignment on
+// the problem's cluster: no (mesh, strategy) pair both validates and fits
+// the call's own working set in one device's memory. The problem is
+// well-formed but cannot fit the cluster, so callers classify it as memory
+// infeasibility, not as a malformed request.
+type ErrNoLegalAssignment struct {
+	Call string
+}
+
+func (e *ErrNoLegalAssignment) Error() string {
+	return fmt.Sprintf("search: call %q has no legal assignment", e.Call)
+}
+
 // candidateSets precomputes per-call candidate lists and the joint space
 // size.
 func candidateSets(p *core.Plan, lvl PruneLevel, offloadSearch bool) (map[string][]core.Assignment, float64, error) {
@@ -413,7 +426,7 @@ func candidateSets(p *core.Plan, lvl PruneLevel, offloadSearch bool) (map[string
 		}
 		c := candidates(p, n, lvl, meshes, memo, offloadSearch)
 		if len(c) == 0 {
-			return nil, 0, fmt.Errorf("search: call %q has no legal assignment", n.Name)
+			return nil, 0, &ErrNoLegalAssignment{Call: n.Name}
 		}
 		sets[n.Name] = c
 		log10 += math.Log10(float64(len(c)))
@@ -455,6 +468,35 @@ func callTime(e *estimator.Estimator, p *core.Plan, n *dfg.Node, a core.Assignme
 	return t, nil
 }
 
+// shapeKey is a candidate's mesh shape plus the rest of its callTime
+// inputs. Mesh.M is the cluster's node size, fixed per problem.
+type shapeKey struct {
+	count    int
+	strategy parallel.Strategy
+	offload  bool
+}
+
+// shapeTimer returns callTime for call n memoized per mesh shape. Candidate
+// meshes are legal, hence aligned, and for aligned meshes gpumodel
+// (AssembleCall) and memory.Active read the mesh only through Count and the
+// node size M — whether TP, DP or PP groups cross a node follows from those
+// two — so every placement of one shape costs the same: a 32-node cluster
+// has 976 placements but 35 shapes. Errors are not memoized.
+func shapeTimer(e *estimator.Estimator, p *core.Plan, n *dfg.Node) func(core.Assignment) (float64, error) {
+	memo := map[shapeKey]float64{}
+	return func(a core.Assignment) (float64, error) {
+		k := shapeKey{count: a.Mesh.Count, strategy: a.Strategy, offload: a.Offload}
+		if t, ok := memo[k]; ok {
+			return t, nil
+		}
+		t, err := callTime(e, p, n, a)
+		if err == nil {
+			memo[k] = t
+		}
+		return t, err
+	}
+}
+
 // nodesByName returns a representative dfg node for each distinct call name.
 func nodesByName(p *core.Plan) map[string]*dfg.Node {
 	out := map[string]*dfg.Node{}
@@ -489,8 +531,9 @@ func shortlist(e *estimator.Estimator, p *core.Plan, sets map[string][]core.Assi
 			t float64
 		}
 		all := make([]scored, 0, len(cands))
+		timeOf := shapeTimer(e, p, n)
 		for _, a := range cands {
-			t, err := callTime(e, p, n, a)
+			t, err := timeOf(a)
 			if err != nil {
 				continue
 			}

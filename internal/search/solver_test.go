@@ -362,3 +362,44 @@ func TestSolversRejectForeignCache(t *testing.T) {
 		}
 	}
 }
+
+// TestCallTimeDependsOnlyOnMeshShape pins the invariant shapeTimer's memo
+// rests on: over every legal candidate (offload variants included) of every
+// call, callTime is bit-identical across all placements of one mesh shape.
+func TestCallTimeDependsOnlyOnMeshShape(t *testing.T) {
+	for _, nodes := range []int{1, 2, 16} {
+		p, e := newProblem(t, nodes, model.LLaMA7B, model.LLaMA7B, 64*nodes, 256, 256)
+		sets, _, err := candidateSets(p, PruneNone, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, n := range nodesByName(p) {
+			first := map[shapeKey]core.Assignment{}
+			placements := 0
+			for _, a := range sets[name] {
+				k := shapeKey{count: a.Mesh.Count, strategy: a.Strategy, offload: a.Offload}
+				ref, ok := first[k]
+				if !ok {
+					first[k] = a
+					continue
+				}
+				placements++
+				got, err := callTime(e, p, n, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := callTime(e, p, n, ref)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Fatalf("%d nodes, %s: callTime(%v) = %v, but %v has the same shape and costs %v",
+						nodes, name, a, got, ref, want)
+				}
+			}
+			if nodes > 1 && placements == 0 {
+				t.Errorf("%d nodes, %s: no shape has a second placement", nodes, name)
+			}
+		}
+	}
+}

@@ -467,6 +467,43 @@ func TestErrorTaxonomyMapping(t *testing.T) {
 	}
 }
 
+// TestPlanHandlerShapeErrors: over /v1/plan, a config whose generation
+// call fits no single device (gen_len 2^30) is a 422 infeasible_memory,
+// not a 500, and the shape rules — a modelled host size, no more
+// mini-batches than prompts — are 400 invalid_config.
+func TestPlanHandlerShapeErrors(t *testing.T) {
+	srv, hs, _ := newTestServer(t, Config{})
+	post := func(config string) (int, string) {
+		t.Helper()
+		body := `{"algo":"ppo","actor_type":"llama7b","critic_type":"llama7b-critic","config":{` + config + `}}`
+		resp, err := http.Post(hs.URL+PathPlan, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var wire ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+			t.Fatalf("config %s: decode: %v", config, err)
+		}
+		return resp.StatusCode, wire.Code
+	}
+	const shape = `"nodes":1,"prompt_len":256,"search_steps":50`
+	if code, wire := post(shape + `,"batch_size":64,"gen_len":1073741824`); code != http.StatusUnprocessableEntity || wire != CodeInfeasibleMemory {
+		t.Errorf("gen_len 2^30: HTTP %d code %q, want 422 %s", code, wire, CodeInfeasibleMemory)
+	}
+	for _, config := range []string{
+		shape + `,"batch_size":64,"gen_len":256,"gpus_per_node":3`,
+		shape + `,"batch_size":1,"gen_len":256,"mini_batches":8`,
+	} {
+		if code, wire := post(config); code != http.StatusBadRequest || wire != CodeInvalidConfig {
+			t.Errorf("config %s: HTTP %d code %q, want 400 %s", config, code, wire, CodeInvalidConfig)
+		}
+	}
+	if st := srv.Stats(); st.Infeasible != 1 || st.Invalid != 2 {
+		t.Errorf("stats = %+v, want 1 infeasible and 2 invalid", st)
+	}
+}
+
 // TestStatsEndpoint: /v1/stats serves both counter families and the
 // health endpoint answers 200 while serving.
 func TestStatsEndpoint(t *testing.T) {

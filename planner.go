@@ -374,8 +374,12 @@ func (p *Planner) Plan(ctx context.Context, cfg ExperimentConfig, opts ...AutoOp
 			Progress:       o.progress,
 		})
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		var noLegal *search.ErrNoLegalAssignment
+		switch {
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			return nil, fmt.Errorf("realhf: %w: %w", ErrSolveCanceled, err)
+		case errors.As(err, &noLegal):
+			return nil, fmt.Errorf("realhf: %w: %w", ErrInfeasibleMemory, err)
 		}
 		return nil, err
 	}

@@ -103,7 +103,7 @@ type ModelFunctionCallDef struct {
 type ExperimentConfig struct {
 	// Nodes is the number of 8-GPU hosts (the paper's testbed shape).
 	Nodes int `json:"nodes"`
-	// GPUsPerNode overrides the default of 8.
+	// GPUsPerNode overrides the default of 8; it must be 1, 2, 4, 8 or 16.
 	GPUsPerNode int `json:"gpus_per_node"`
 	// BatchSize is the global number of prompts per iteration.
 	BatchSize int `json:"batch_size"`
@@ -111,7 +111,7 @@ type ExperimentConfig struct {
 	PromptLen int `json:"prompt_len"`
 	GenLen    int `json:"gen_len"`
 	// MiniBatches is the PPO mini-batch count for TrainStep calls
-	// (default 8, after InstructGPT).
+	// (default 8, after InstructGPT); it must not exceed BatchSize.
 	MiniBatches int `json:"mini_batches"`
 	// Iterations concatenates multiple RLHF iterations into one dataflow
 	// graph (default 1), enabling cross-iteration overlap.
@@ -210,6 +210,17 @@ func (c ExperimentConfig) validate() error {
 	}
 	if c.SearchTime < 0 {
 		return fmt.Errorf("realhf: SearchTime must not be negative (got %v): %w", c.SearchTime, ErrInvalidConfig)
+	}
+	// Legal meshes tile a node with power-of-two slices (paper §4), and no
+	// modelled host has more than 16 devices.
+	switch c.GPUsPerNode {
+	case 1, 2, 4, 8, 16:
+	default:
+		return fmt.Errorf("realhf: GPUsPerNode must be 1, 2, 4, 8 or 16 (got %d): %w", c.GPUsPerNode, ErrInvalidConfig)
+	}
+	// Every PPO mini-batch needs at least one prompt.
+	if c.MiniBatches > c.BatchSize {
+		return fmt.Errorf("realhf: MiniBatches (%d) must not exceed BatchSize (%d): %w", c.MiniBatches, c.BatchSize, ErrInvalidConfig)
 	}
 	return nil
 }
