@@ -663,7 +663,7 @@ func BenchmarkRuntimeExecution(b *testing.B) {
 func BenchmarkRuntimeOverlap(b *testing.B) {
 	b.ReportAllocs()
 	cluster := hardware.DefaultCluster(2)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 2})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 2})
 	plan := core.NewPlan(cluster, g, core.PPOModels(model.LLaMA7B, model.LLaMA7B))
 	m0, err := mesh.New(0, 8, 8)
 	if err != nil {

@@ -27,10 +27,8 @@ import (
 	"strings"
 
 	"realhf/internal/core"
-	"realhf/internal/dfg"
 	"realhf/internal/estimator"
-	"realhf/internal/gpumodel"
-	"realhf/internal/hardware"
+	"realhf/internal/experiments"
 	"realhf/internal/mesh"
 	"realhf/internal/model"
 	"realhf/internal/parallel"
@@ -38,49 +36,26 @@ import (
 	"realhf/internal/search"
 )
 
-// goldenProblem mirrors the search tests' 2-node 7B+7B problem, so the
+// goldenSetting is the search tests' 2-node 7B+7B PPO problem, so the
 // fingerprints here cross-check TestGoldenSingleChainPlans.
-func goldenProblem() (*core.Plan, *estimator.Estimator) {
-	cluster := hardware.DefaultCluster(2)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1})
-	p := core.NewPlan(cluster, g, core.PPOModels(model.LLaMA7B, model.LLaMA7B))
-	costers := map[dfg.Role]gpumodel.ModelCoster{}
-	for role, ms := range p.Models {
-		costers[role] = gpumodel.NewOracle(cluster, ms.Cfg)
-	}
-	return p, estimator.New(cluster, costers)
+var goldenSetting = experiments.Setting{
+	Nodes: 2, Actor: model.LLaMA7B, Critic: model.LLaMA7B,
+	Batch: 256, PromptLen: 512, GenLen: 512, MiniBatches: 8, Algo: "ppo", Iterations: 1,
 }
 
-// offloadProblem is the memory-constrained single-node problem of the
-// offload-aware section: 7B trainable actor/critic with 34B frozen
-// ref/reward on 4 GPUs, where only plans that park the frozen weights in
-// host memory fit HBM (mirrors TestOffloadSearchFindsFeasiblePlan).
-func offloadProblem() (*core.Plan, *estimator.Estimator) {
-	cluster := hardware.DefaultCluster(1)
-	cluster.GPUsPerNode = 4
-	g := dfg.BuildPPO(dfg.Spec{Batch: 64, PromptLen: 256, GenLen: 256, Iterations: 1})
-	models := core.PPOModels(model.LLaMA7B, model.LLaMA7B)
-	ref := models[dfg.Ref]
-	ref.Cfg = model.LLaMA34B
-	models[dfg.Ref] = ref
-	rw := models[dfg.Reward]
-	rw.Cfg = model.LLaMA34B
-	models[dfg.Reward] = rw
-	p := core.NewPlan(cluster, g, models)
-	costers := map[dfg.Role]gpumodel.ModelCoster{}
-	for role, ms := range p.Models {
-		costers[role] = gpumodel.NewOracle(cluster, ms.Cfg)
+// problem returns an unassigned plan and the estimator of a fresh problem.
+func problem(pr *experiments.Problem, err error) (*core.Plan, *estimator.Estimator) {
+	if err != nil {
+		log.Fatal(err)
 	}
-	return p, estimator.New(cluster, costers)
+	return pr.EmptyPlan(), pr.Est
 }
 
 // splitPlan is the fixed reallocation-heavy placement (actor half / critic
 // half with re-parallelized generation) whose overlapped run must beat the
 // serialized baseline.
 func splitPlan() (*core.Plan, error) {
-	cluster := hardware.DefaultCluster(2)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1})
-	p := core.NewPlan(cluster, g, core.PPOModels(model.LLaMA7B, model.LLaMA7B))
+	p, _ := problem(experiments.NewProblem(goldenSetting))
 	m0, err := mesh.New(0, 8, 8)
 	if err != nil {
 		return nil, err
@@ -146,7 +121,7 @@ func main() {
 	b.WriteString("# CI re-runs the generator and fails on `git diff --exit-code testdata/`.\n")
 
 	for _, seed := range []int64{1, 7, 42} {
-		plan, est := goldenProblem()
+		plan, est := problem(experiments.NewProblem(goldenSetting))
 		res, _, err := search.Solve(context.Background(), "mcmc",
 			search.Problem{Est: est, Plan: plan},
 			search.Options{MaxSteps: *steps, Seed: seed})
@@ -177,7 +152,7 @@ func main() {
 	// must stay byte-identical — the knob defaults off.
 	b.WriteString("# Overlap-aware search (candidates costed with estimator OverlapComm).\n")
 	for _, seed := range []int64{1, 7, 42} {
-		plan, est := goldenProblem()
+		plan, est := problem(experiments.NewProblem(goldenSetting))
 		over := *est
 		over.OverlapComm = true
 		res, _, err := search.Solve(context.Background(), "mcmc",
@@ -201,7 +176,7 @@ func main() {
 	// defaults off and touches no default-path RNG stream.
 	b.WriteString("# Offload-aware search (host offload searched per call, memory as a hard constraint).\n")
 	for _, seed := range []int64{1, 7, 42} {
-		plan, est := offloadProblem()
+		plan, est := problem(experiments.OffloadProblem())
 		res, _, err := search.Solve(context.Background(), "mcmc",
 			search.Problem{Est: est, Plan: plan},
 			search.Options{MaxSteps: *steps, Seed: seed, OffloadSearch: true})

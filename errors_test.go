@@ -139,9 +139,12 @@ func TestErrorTaxonomy(t *testing.T) {
 
 // TestConfigShapeValidation is the table of shape rules beyond sign checks:
 // GPUsPerNode must be a modelled host size (legal meshes tile a node with
-// power-of-two slices) and MiniBatches must not exceed BatchSize. Every
-// planning entry point rejects them with ErrInvalidConfig before any
-// problem is built; the boundary values plan.
+// power-of-two slices), MiniBatches must not exceed BatchSize, and each
+// RPC's BatchScale and MiniBatches must give a workload that neither
+// overflows nor has an empty mini-batch, with one producer per data key
+// and one call per name.
+// Every planning entry point rejects them with ErrInvalidConfig before any
+// search runs; the boundary values plan.
 func TestConfigShapeValidation(t *testing.T) {
 	p := NewPlanner(ClusterConfig{})
 	ctx := context.Background()
@@ -159,6 +162,21 @@ func TestConfigShapeValidation(t *testing.T) {
 		{"default MiniBatches>BatchSize", func(c *ExperimentConfig) { c.BatchSize = 4 }, false},
 		{"GPUsPerNode=4", func(c *ExperimentConfig) { c.GPUsPerNode = 4 }, true},
 		{"MiniBatches=BatchSize", func(c *ExperimentConfig) { c.BatchSize, c.MiniBatches = 8, 8 }, true},
+		// Per-call RPC fields (call 4 is actor/TRAIN_STEP): each of these
+		// used to plan a wrong workload instead of failing.
+		{"BatchScale<0", func(c *ExperimentConfig) { c.RPCs[0].BatchScale = -2 }, false},
+		{"BatchScale overflows", func(c *ExperimentConfig) { c.RPCs[4].BatchScale = 1 << 62 }, false},
+		{"call MiniBatches<0", func(c *ExperimentConfig) { c.RPCs[4].MiniBatches = -1 }, false},
+		{"call MiniBatches=1000", func(c *ExperimentConfig) { c.RPCs[4].MiniBatches = 1000 }, false},
+		{"call MiniBatches=1<<40", func(c *ExperimentConfig) { c.RPCs[4].MiniBatches = 1 << 40 }, false},
+		{"call MiniBatches>scaled batch", func(c *ExperimentConfig) {
+			c.RPCs[4].BatchScale, c.RPCs[4].MiniBatches = 2, 2*64+1
+		}, false},
+		{"duplicate producer", func(c *ExperimentConfig) { c.RPCs[3].OutputData = []string{"r"} }, false},
+		{"duplicate call name", func(c *ExperimentConfig) { c.RPCs[3].Name = "ref/INFERENCE" }, false},
+		{"call MiniBatches=scaled batch", func(c *ExperimentConfig) {
+			c.RPCs[4].BatchScale, c.RPCs[4].MiniBatches = 2, 2*64
+		}, true},
 	} {
 		cfg := fastConfig()
 		cfg.SearchSteps = 20

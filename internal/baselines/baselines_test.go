@@ -14,7 +14,7 @@ import (
 func setup(t *testing.T, nodes int, actor, critic model.Config) (hardware.Cluster, *dfg.Graph, map[dfg.Role]core.ModelSpec, *estimator.Estimator) {
 	t.Helper()
 	hw := hardware.DefaultCluster(nodes)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
 	models := core.PPOModels(actor, critic)
 	costers := map[dfg.Role]gpumodel.ModelCoster{}
 	for role, ms := range models {

@@ -14,7 +14,7 @@ import (
 func ppoPlan(t *testing.T, nodes, iters int) *Plan {
 	t.Helper()
 	cluster := hardware.DefaultCluster(nodes)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: iters})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: iters})
 	p := NewPlan(cluster, g, PPOModels(model.LLaMA7B, model.LLaMA7B))
 	full := mesh.Full(cluster)
 	st := parallel.Strategy{DP: cluster.NumGPUs() / 8, TP: 8, PP: 1, MicroBatches: 4}
@@ -240,7 +240,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestModelsFor(t *testing.T) {
-	g := dfg.BuildGRPO(dfg.Spec{Batch: 64, PromptLen: 128, GenLen: 128})
+	g := dfg.MustBuild("grpo", dfg.Spec{Batch: 64, PromptLen: 128, GenLen: 128})
 	ms := ModelsFor(g, model.LLaMA7B, model.LLaMA7B)
 	if _, ok := ms[dfg.Critic]; ok {
 		t.Error("GRPO cast must not include a critic")

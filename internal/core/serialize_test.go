@@ -19,7 +19,7 @@ func TestPlanSaveLoadRoundTrip(t *testing.T) {
 	if err := SavePlan(p, path); err != nil {
 		t.Fatal(err)
 	}
-	g := dfg.BuildPPO(dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
 	q, err := LoadPlan(path, g)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestPlanRoundTripPerCallOffload(t *testing.T) {
 	if err := SavePlan(p, path); err != nil {
 		t.Fatal(err)
 	}
-	g := dfg.BuildPPO(dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
 	q, err := LoadPlan(path, g)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestLoadPlanRejectsOffloadedTrainable(t *testing.T) {
 	if err := SavePlan(p, path); err != nil {
 		t.Fatal(err)
 	}
-	g := dfg.BuildPPO(dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
 	if _, err := LoadPlan(path, g); err == nil {
 		t.Error("loading a plan that offloads a trainable role must fail")
 	}
@@ -111,7 +111,7 @@ const legacyPlanFile = `{
 }`
 
 func TestUnmarshalLegacyOffloadFlag(t *testing.T) {
-	g := dfg.BuildPPO(dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 2})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 2})
 	p, err := UnmarshalPlan([]byte(legacyPlanFile), g)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestLoadPlanRejectsMismatchedGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A DPO graph has different call names: validation must fail.
-	g := dfg.BuildDPO(dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024})
+	g := dfg.MustBuild("dpo", dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024})
 	if _, err := LoadPlan(path, g); err == nil {
 		t.Error("loading a PPO plan onto a DPO graph must fail")
 	}

@@ -1,7 +1,9 @@
 // Package dfg implements the paper's dataflow graphs (§4): RLHF workflows
 // decomposed into model function calls — generation, inference, and training
 // tasks on independent LLMs — with data and parameter-version dependencies.
-// Builders are provided for PPO (Fig. 4), DPO, GRPO, and ReMax (Fig. 16).
+// Every graph comes from one lowering (Lower) of a call table wired by named
+// data; the paper's PPO (Fig. 4), DPO, GRPO and ReMax (Fig. 16) workflows
+// are tables in workflows.go.
 package dfg
 
 import (
@@ -189,166 +191,4 @@ func (g *Graph) TopoSort() ([]*Node, error) {
 func (g *Graph) Validate() error {
 	_, err := g.TopoSort()
 	return err
-}
-
-// Spec carries the algorithm-level knobs used by the builders.
-type Spec struct {
-	// Batch is the global number of prompts per iteration.
-	Batch int
-	// PromptLen and GenLen are per-sequence token counts. The paper's base
-	// setting uses prompt 1024, generation 1024 (context 2048).
-	PromptLen int
-	GenLen    int
-	// MiniBatches is the PPO mini-batch count (8 in the paper's base
-	// setting, after InstructGPT).
-	MiniBatches int
-	// Iterations is how many consecutive RLHF iterations to concatenate.
-	Iterations int
-	// GroupSize is GRPO's per-prompt group size (8 in the paper).
-	GroupSize int
-}
-
-func (s Spec) withDefaults() Spec {
-	if s.MiniBatches == 0 {
-		s.MiniBatches = 8
-	}
-	if s.Iterations == 0 {
-		s.Iterations = 1
-	}
-	if s.GroupSize == 0 {
-		s.GroupSize = 8
-	}
-	return s
-}
-
-// BuildPPO constructs the PPO dataflow graph of Fig. 4: per iteration,
-// ActorGen → {RewInf, RefInf, CriticInf} → {ActorTrain, CriticTrain}, with
-// parameter-version edges ActorTrain(t)→ActorGen(t+1) and
-// CriticTrain(t)→CriticInf(t+1).
-func BuildPPO(s Spec) *Graph {
-	s = s.withDefaults()
-	g := NewGraph("ppo")
-	var prevActorTrain, prevCriticTrain *Node
-	gen := Workload{Batch: s.Batch, PromptLen: s.PromptLen, GenLen: s.GenLen}
-	inf := Workload{Batch: s.Batch, PromptLen: s.PromptLen, GenLen: s.GenLen}
-	train := Workload{Batch: s.Batch, PromptLen: s.PromptLen, GenLen: s.GenLen, MiniBatches: s.MiniBatches}
-	for t := 0; t < s.Iterations; t++ {
-		actorGen := g.AddNode("ActorGen", Actor, Generate, t, gen)
-		rewInf := g.AddNode("RewInf", Reward, Inference, t, inf)
-		refInf := g.AddNode("RefInf", Ref, Inference, t, inf)
-		criticInf := g.AddNode("CriticInf", Critic, Inference, t, inf)
-		actorTrain := g.AddNode("ActorTrain", Actor, Train, t, train)
-		criticTrain := g.AddNode("CriticTrain", Critic, Train, t, train)
-
-		for _, infNode := range []*Node{rewInf, refInf, criticInf} {
-			g.AddEdge(actorGen, infNode)
-			g.AddEdge(infNode, actorTrain)
-			g.AddEdge(infNode, criticTrain)
-		}
-		if prevActorTrain != nil {
-			g.AddEdge(prevActorTrain, actorGen)
-		}
-		if prevCriticTrain != nil {
-			g.AddEdge(prevCriticTrain, criticInf)
-			g.AddEdge(prevCriticTrain, criticTrain)
-		}
-		prevActorTrain, prevCriticTrain = actorTrain, criticTrain
-	}
-	return g
-}
-
-// BuildDPO constructs the DPO graph of Fig. 16: RefInf → ActorTrain over
-// preference pairs (no generation, no critic). The batch counts pairs; both
-// chosen and rejected sequences pass through, which the workload expresses
-// by doubling the batch.
-func BuildDPO(s Spec) *Graph {
-	s = s.withDefaults()
-	g := NewGraph("dpo")
-	w := Workload{Batch: 2 * s.Batch, PromptLen: s.PromptLen, GenLen: s.GenLen}
-	train := w
-	train.MiniBatches = 1
-	var prevTrain *Node
-	for t := 0; t < s.Iterations; t++ {
-		refInf := g.AddNode("RefInf", Ref, Inference, t, w)
-		actorTrain := g.AddNode("ActorTrain", Actor, Train, t, train)
-		g.AddEdge(refInf, actorTrain)
-		if prevTrain != nil {
-			g.AddEdge(prevTrain, actorTrain)
-		}
-		prevTrain = actorTrain
-	}
-	return g
-}
-
-// BuildGRPO constructs the GRPO graph of Fig. 16: ActorGen (grouped: batch
-// ×GroupSize sequences) → {RewInf, RefInf} → ActorTrain. GRPO has no critic;
-// advantages are group-normalized rewards.
-func BuildGRPO(s Spec) *Graph {
-	s = s.withDefaults()
-	g := NewGraph("grpo")
-	grouped := Workload{Batch: s.Batch * s.GroupSize, PromptLen: s.PromptLen, GenLen: s.GenLen}
-	train := grouped
-	train.MiniBatches = s.MiniBatches
-	var prevTrain *Node
-	for t := 0; t < s.Iterations; t++ {
-		gen := g.AddNode("ActorGen", Actor, Generate, t, grouped)
-		rewInf := g.AddNode("RewInf", Reward, Inference, t, grouped)
-		refInf := g.AddNode("RefInf", Ref, Inference, t, grouped)
-		actorTrain := g.AddNode("ActorTrain", Actor, Train, t, train)
-		g.AddEdge(gen, rewInf)
-		g.AddEdge(gen, refInf)
-		g.AddEdge(rewInf, actorTrain)
-		g.AddEdge(refInf, actorTrain)
-		if prevTrain != nil {
-			g.AddEdge(prevTrain, gen)
-		}
-		prevTrain = actorTrain
-	}
-	return g
-}
-
-// BuildReMax constructs the ReMax graph of Fig. 16: two independent
-// generations (sampled and greedy) feed two reward inferences; the training
-// call consumes both (the greedy reward is the variance-reduction baseline).
-// The two generation calls have no mutual dependency — the paper notes ReaL
-// wins most on ReMax by running them concurrently.
-func BuildReMax(s Spec) *Graph {
-	s = s.withDefaults()
-	g := NewGraph("remax")
-	w := Workload{Batch: s.Batch, PromptLen: s.PromptLen, GenLen: s.GenLen}
-	train := w
-	train.MiniBatches = 1
-	var prevTrain *Node
-	for t := 0; t < s.Iterations; t++ {
-		sampleGen := g.AddNode("SampleGen", Actor, Generate, t, w)
-		greedyGen := g.AddNode("GreedyGen", Actor, Generate, t, w)
-		sampleRew := g.AddNode("SampleRew", Reward, Inference, t, w)
-		greedyRew := g.AddNode("GreedyRew", Reward, Inference, t, w)
-		actorTrain := g.AddNode("ActorTrain", Actor, Train, t, train)
-		g.AddEdge(sampleGen, sampleRew)
-		g.AddEdge(greedyGen, greedyRew)
-		g.AddEdge(sampleRew, actorTrain)
-		g.AddEdge(greedyRew, actorTrain)
-		if prevTrain != nil {
-			g.AddEdge(prevTrain, sampleGen)
-			g.AddEdge(prevTrain, greedyGen)
-		}
-		prevTrain = actorTrain
-	}
-	return g
-}
-
-// Build dispatches on the algorithm name.
-func Build(algo string, s Spec) (*Graph, error) {
-	switch algo {
-	case "ppo":
-		return BuildPPO(s), nil
-	case "dpo":
-		return BuildDPO(s), nil
-	case "grpo":
-		return BuildGRPO(s), nil
-	case "remax":
-		return BuildReMax(s), nil
-	}
-	return nil, fmt.Errorf("dfg: unknown algorithm %q", algo)
 }

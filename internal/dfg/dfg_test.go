@@ -1,6 +1,9 @@
 package dfg
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -10,7 +13,7 @@ func baseSpec() Spec {
 }
 
 func TestPPOShape(t *testing.T) {
-	g := BuildPPO(baseSpec())
+	g := MustBuild("ppo", baseSpec())
 	if len(g.Nodes) != 6 {
 		t.Fatalf("PPO iteration has %d calls, want 6", len(g.Nodes))
 	}
@@ -40,7 +43,7 @@ func TestPPOShape(t *testing.T) {
 func TestPPOMultiIterationVersionEdges(t *testing.T) {
 	s := baseSpec()
 	s.Iterations = 3
-	g := BuildPPO(s)
+	g := MustBuild("ppo", s)
 	if len(g.Nodes) != 18 {
 		t.Fatalf("3 iterations have %d calls, want 18", len(g.Nodes))
 	}
@@ -68,7 +71,7 @@ func TestPPOMultiIterationVersionEdges(t *testing.T) {
 func TestTopoSortRespectsDependencies(t *testing.T) {
 	s := baseSpec()
 	s.Iterations = 4
-	g := BuildPPO(s)
+	g := MustBuild("ppo", s)
 	order, err := g.TopoSort()
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +101,7 @@ func TestCycleDetection(t *testing.T) {
 }
 
 func TestDPOShape(t *testing.T) {
-	g := BuildDPO(baseSpec())
+	g := MustBuild("dpo", baseSpec())
 	if len(g.Nodes) != 2 {
 		t.Fatalf("DPO has %d calls, want 2", len(g.Nodes))
 	}
@@ -117,9 +120,7 @@ func TestDPOShape(t *testing.T) {
 }
 
 func TestGRPOShape(t *testing.T) {
-	s := baseSpec()
-	s.GroupSize = 8
-	g := BuildGRPO(s)
+	g := MustBuild("grpo", baseSpec())
 	if len(g.Nodes) != 4 {
 		t.Fatalf("GRPO has %d calls, want 4", len(g.Nodes))
 	}
@@ -136,7 +137,7 @@ func TestGRPOShape(t *testing.T) {
 }
 
 func TestReMaxConcurrentGenerations(t *testing.T) {
-	g := BuildReMax(baseSpec())
+	g := MustBuild("remax", baseSpec())
 	if len(g.Nodes) != 5 {
 		t.Fatalf("ReMax has %d calls, want 5", len(g.Nodes))
 	}
@@ -189,6 +190,119 @@ func TestWorkloadArithmetic(t *testing.T) {
 	}
 	if w.TotalTokens() != 512*2048 {
 		t.Errorf("TotalTokens = %d", w.TotalTokens())
+	}
+}
+
+// TestWorkflowParents pins every paper table's two-iteration parent lists,
+// node order included. The lists are the ones the hand-wired builders that
+// preceded the tables produced, kept verbatim; the lowering adds one
+// transitive version edge to them, ActorTrain(0)→ActorTrain(1).
+func TestWorkflowParents(t *testing.T) {
+	builders := map[string][]string{
+		"ppo": {
+			"ActorGen@0 <-",
+			"RewInf@0 <- ActorGen@0",
+			"RefInf@0 <- ActorGen@0",
+			"CriticInf@0 <- ActorGen@0",
+			"ActorTrain@0 <- RewInf@0 RefInf@0 CriticInf@0",
+			"CriticTrain@0 <- RewInf@0 RefInf@0 CriticInf@0",
+			"ActorGen@1 <- ActorTrain@0",
+			"RewInf@1 <- ActorGen@1",
+			"RefInf@1 <- ActorGen@1",
+			"CriticInf@1 <- ActorGen@1 CriticTrain@0",
+			"ActorTrain@1 <- RewInf@1 RefInf@1 CriticInf@1",
+			"CriticTrain@1 <- RewInf@1 RefInf@1 CriticInf@1 CriticTrain@0",
+		},
+		"dpo": {
+			"RefInf@0 <-",
+			"ActorTrain@0 <- RefInf@0",
+			"RefInf@1 <-",
+			"ActorTrain@1 <- RefInf@1 ActorTrain@0",
+		},
+		"grpo": {
+			"ActorGen@0 <-",
+			"RewInf@0 <- ActorGen@0",
+			"RefInf@0 <- ActorGen@0",
+			"ActorTrain@0 <- RewInf@0 RefInf@0",
+			"ActorGen@1 <- ActorTrain@0",
+			"RewInf@1 <- ActorGen@1",
+			"RefInf@1 <- ActorGen@1",
+			"ActorTrain@1 <- RewInf@1 RefInf@1",
+		},
+		"remax": {
+			"SampleGen@0 <-",
+			"GreedyGen@0 <-",
+			"SampleRew@0 <- SampleGen@0",
+			"GreedyRew@0 <- GreedyGen@0",
+			"ActorTrain@0 <- SampleRew@0 GreedyRew@0",
+			"SampleGen@1 <- ActorTrain@0",
+			"GreedyGen@1 <- ActorTrain@0",
+			"SampleRew@1 <- SampleGen@1",
+			"GreedyRew@1 <- GreedyGen@1",
+			"ActorTrain@1 <- SampleRew@1 GreedyRew@1",
+		},
+	}
+	for algo, want := range builders {
+		// DPO's builder already had the edge: its ActorTrain has no
+		// generation call in front of it.
+		if algo != "dpo" {
+			want = append([]string(nil), want...)
+			for i, line := range want {
+				if strings.HasPrefix(line, "ActorTrain@1 ") {
+					want[i] += " ActorTrain@0"
+				}
+			}
+		}
+		s := baseSpec()
+		s.Iterations = 2
+		if got := parentLines(MustBuild(algo, s)); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s parents:\n got %q\nwant %q", algo, got, want)
+		}
+	}
+}
+
+// parentLines renders each node as "Name@iter <- parents..." in ID order.
+func parentLines(g *Graph) []string {
+	out := make([]string, len(g.Nodes))
+	for i, n := range g.Nodes {
+		line := fmt.Sprintf("%s@%d <-", n.Name, n.Iter)
+		for _, p := range g.Parents(n) {
+			line += fmt.Sprintf(" %s@%d", p.Name, p.Iter)
+		}
+		out[i] = line
+	}
+	return out
+}
+
+// TestLowerRejectsMalformedCalls: per-call fields that would corrupt a
+// workload, a second producer of one key and a second call of one name are
+// errors, not graphs.
+func TestLowerRejectsMalformedCalls(t *testing.T) {
+	gen := Call{Name: "gen", Role: Actor, Type: Generate, Outputs: []string{"seq"}}
+	train := Call{Name: "train", Role: Actor, Type: Train, Inputs: []string{"seq"}}
+	s := Spec{Batch: 64, PromptLen: 16, GenLen: 16}
+	for _, tc := range []struct {
+		name  string
+		edit  func(gen, train *Call)
+		valid bool
+	}{
+		{"negative BatchScale", func(_, tr *Call) { tr.BatchScale = -1 }, false},
+		{"negative MiniBatches", func(_, tr *Call) { tr.MiniBatches = -1 }, false},
+		{"overflowing BatchScale", func(g, _ *Call) { g.BatchScale = 1 << 62 }, false},
+		{"MiniBatches above the batch", func(_, tr *Call) { tr.MiniBatches = 65 }, false},
+		{"MiniBatches above the scaled batch", func(_, tr *Call) { tr.BatchScale, tr.MiniBatches = 2, 129 }, false},
+		{"duplicate producer", func(_, tr *Call) { tr.Outputs = []string{"seq"} }, false},
+		{"duplicate name", func(_, tr *Call) { tr.Name = "gen" }, false},
+		{"unknown call type", func(g, _ *Call) { g.Type = 7 }, false},
+		{"MiniBatches at the scaled batch", func(_, tr *Call) { tr.BatchScale, tr.MiniBatches = 2, 128 }, true},
+		{"output listed twice by one call", func(g, _ *Call) { g.Outputs = []string{"seq", "seq"} }, true},
+	} {
+		g, tr := gen, train
+		tc.edit(&g, &tr)
+		_, err := Lower("test", []Call{g, tr}, s)
+		if tc.valid != (err == nil) {
+			t.Errorf("%s: err = %v, want valid=%v", tc.name, err, tc.valid)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 func calibPlan(t *testing.T) (*core.Plan, *Estimator) {
 	t.Helper()
 	cluster := hardware.DefaultCluster(1)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 64, PromptLen: 256, GenLen: 256, Iterations: 1})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 64, PromptLen: 256, GenLen: 256, Iterations: 1})
 	p := core.NewPlan(cluster, g, core.PPOModels(model.LLaMA7B, model.LLaMA7B))
 	full := mesh.Full(cluster)
 	st := parallel.Strategy{DP: 1, TP: 8, PP: 1, MicroBatches: 1}

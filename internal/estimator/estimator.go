@@ -53,6 +53,16 @@ func New(hw hardware.Cluster, costers map[dfg.Role]gpumodel.ModelCoster) *Estima
 	return &Estimator{HW: hw, Costers: costers, Comm: gpumodel.Comm{HW: hw}}
 }
 
+// NewOracle returns an estimator that costs every model of the cast with
+// its ground-truth gpumodel.Oracle.
+func NewOracle(hw hardware.Cluster, models map[dfg.Role]core.ModelSpec) *Estimator {
+	costers := make(map[dfg.Role]gpumodel.ModelCoster, len(models))
+	for role, ms := range models {
+		costers[role] = gpumodel.NewOracle(hw, ms.Cfg)
+	}
+	return New(hw, costers)
+}
+
 // CallSpecOf resolves the gpumodel.CallSpec of a dfg node under a plan.
 func CallSpecOf(p *core.Plan, n *dfg.Node) (gpumodel.CallSpec, error) {
 	a, ok := p.AssignmentOf(n)

@@ -26,7 +26,7 @@ func oracleCosters(hw hardware.Cluster, models map[dfg.Role]core.ModelSpec) map[
 func symmetricPlan(t *testing.T, nodes int, actor, critic model.Config) *core.Plan {
 	t.Helper()
 	cluster := hardware.DefaultCluster(nodes)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
 	p := core.NewPlan(cluster, g, core.PPOModels(actor, critic))
 	full := mesh.Full(cluster)
 	st := parallel.Strategy{DP: cluster.NumGPUs() / 8, TP: 8, PP: 1, MicroBatches: 4}
@@ -68,7 +68,7 @@ func TestConcurrentDisjointMeshes(t *testing.T) {
 	// Assign critic-side calls to node 1, actor-side to node 0: independent
 	// calls should overlap and beat the symmetric makespan structure.
 	cluster := hardware.DefaultCluster(2)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1})
 	p := core.NewPlan(cluster, g, core.PPOModels(model.LLaMA7B, model.LLaMA7B))
 	m0, _ := mesh.New(0, 8, 8)
 	m1, _ := mesh.New(8, 8, 8)
@@ -135,7 +135,7 @@ func TestMeshExclusionInvariant(t *testing.T) {
 	// Property over the timeline: nodes occupying overlapping meshes never
 	// run concurrently (Algorithm 1's core constraint).
 	cluster := hardware.DefaultCluster(2)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 2})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 2})
 	p := core.NewPlan(cluster, g, core.PPOModels(model.LLaMA7B, model.LLaMA7B))
 	m0, _ := mesh.New(0, 8, 8)
 	m1, _ := mesh.New(8, 8, 8)
@@ -172,7 +172,7 @@ func TestMeshExclusionInvariant(t *testing.T) {
 func TestOOMPenalty(t *testing.T) {
 	// 70B with pure data parallelism cannot fit 80 GB.
 	cluster := hardware.DefaultCluster(2)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
 	p := core.NewPlan(cluster, g, core.PPOModels(model.LLaMA70B, model.LLaMA7B))
 	full := mesh.Full(cluster)
 	st := parallel.Strategy{DP: 16, TP: 1, PP: 1, MicroBatches: 4}

@@ -8,8 +8,6 @@ import (
 
 	"realhf/internal/core"
 	"realhf/internal/dfg"
-	"realhf/internal/estimator"
-	"realhf/internal/gpumodel"
 	"realhf/internal/hardware"
 	"realhf/internal/mesh"
 	"realhf/internal/model"
@@ -424,31 +422,18 @@ func OffloadSetting() Setting {
 }
 
 // OffloadProblem materializes OffloadSetting with its non-standard cast
-// (34B frozen ref/reward) and cluster shape (4 GPUs on the single node).
-// Setting cannot express either, so the problem is assembled directly.
+// (34B frozen ref/reward) and cluster shape (4 GPUs on the single node),
+// neither of which Setting can express.
 func OffloadProblem() (*Problem, error) {
-	s := OffloadSetting()
 	hw := hardware.DefaultCluster(1)
 	hw.GPUsPerNode = 4
-	g, err := s.Graph()
-	if err != nil {
-		return nil, err
-	}
-	models := core.ModelsFor(g, s.Actor, s.Critic)
-	ref := models["ref"]
-	ref.Cfg = model.LLaMA34B
-	models["ref"] = ref
-	rw := models["reward"]
-	rw.Cfg = model.LLaMA34B
-	models["reward"] = rw
-	costers := map[dfg.Role]gpumodel.ModelCoster{}
-	for role, ms := range models {
-		costers[role] = gpumodel.NewOracle(hw, ms.Cfg)
-	}
-	return &Problem{
-		Setting: s, Cluster: hw, Graph: g, Models: models,
-		Est: estimator.New(hw, costers),
-	}, nil
+	return OffloadSetting().problem(hw, func(models map[dfg.Role]core.ModelSpec) {
+		for _, r := range []dfg.Role{dfg.Ref, dfg.Reward} {
+			ms := models[r]
+			ms.Cfg = model.LLaMA34B
+			models[r] = ms
+		}
+	})
 }
 
 // OffloadRow summarizes the offload ablation: the default (residency-fixed)

@@ -25,9 +25,9 @@ func Fig16(nodes, steps int, actor, small model.Config) ([]Fig16Row, string, err
 	for i, algo := range []string{"dpo", "grpo", "remax"} {
 		s := PaperSetting(nodes, actor, small)
 		s.Algo = algo
-		// GRPO generates GroupSize=8 responses per prompt, multiplying the
-		// effective batch 8× — the paper notes this makes its workload
-		// compute-bounded and shrinks ReaL's relative gain.
+		// GRPO generates dfg.GRPOGroupSize=8 responses per prompt,
+		// multiplying the effective batch 8× — the paper notes this makes
+		// its workload compute-bounded and shrinks ReaL's relative gain.
 		pr, err := NewProblem(s)
 		if err != nil {
 			return nil, "", err

@@ -16,7 +16,6 @@ import (
 	"realhf/internal/core"
 	"realhf/internal/dfg"
 	"realhf/internal/estimator"
-	"realhf/internal/gpumodel"
 	"realhf/internal/hardware"
 	"realhf/internal/model"
 	"realhf/internal/runtime"
@@ -76,23 +75,10 @@ func (s Setting) Graph() (*dfg.Graph, error) {
 	if algo == "" {
 		algo = "ppo"
 	}
-	iters := s.Iterations
-	if iters == 0 {
-		iters = 1
-	}
 	return dfg.Build(algo, dfg.Spec{
 		Batch: s.Batch, PromptLen: s.PromptLen, GenLen: s.GenLen,
-		MiniBatches: s.MiniBatches, Iterations: iters,
+		MiniBatches: s.MiniBatches, Iterations: s.Iterations,
 	})
-}
-
-// Models returns the model cast for the setting's algorithm.
-func (s Setting) Models() (map[dfg.Role]core.ModelSpec, error) {
-	g, err := s.Graph()
-	if err != nil {
-		return nil, err
-	}
-	return core.ModelsFor(g, s.Actor, s.Critic), nil
 }
 
 // Problem bundles everything needed to plan and run a setting.
@@ -106,19 +92,24 @@ type Problem struct {
 
 // NewProblem materializes a setting with ground-truth (oracle) costers.
 func NewProblem(s Setting) (*Problem, error) {
-	hw := s.Cluster()
+	return s.problem(s.Cluster(), nil)
+}
+
+// problem is the one problem assembly: the setting's graph and cast on hw,
+// with recast (if non-nil) editing the cast before the oracle costers are
+// built.
+func (s Setting) problem(hw hardware.Cluster, recast func(map[dfg.Role]core.ModelSpec)) (*Problem, error) {
 	g, err := s.Graph()
 	if err != nil {
 		return nil, err
 	}
 	models := core.ModelsFor(g, s.Actor, s.Critic)
-	costers := map[dfg.Role]gpumodel.ModelCoster{}
-	for role, ms := range models {
-		costers[role] = gpumodel.NewOracle(hw, ms.Cfg)
+	if recast != nil {
+		recast(models)
 	}
 	return &Problem{
 		Setting: s, Cluster: hw, Graph: g, Models: models,
-		Est: estimator.New(hw, costers),
+		Est: estimator.NewOracle(hw, models),
 	}, nil
 }
 

@@ -24,7 +24,7 @@ import (
 func reallocHeavyPlan(t testing.TB, iters int) *core.Plan {
 	t.Helper()
 	cluster := hardware.DefaultCluster(2)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: iters})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: iters})
 	p := core.NewPlan(cluster, g, core.PPOModels(model.LLaMA7B, model.LLaMA7B))
 	m0, err := mesh.New(0, 8, 8)
 	if err != nil {
@@ -286,7 +286,7 @@ func TestTransportClosedMidRun(t *testing.T) {
 // Report.Errors, deterministically ordered, in both overlap modes.
 func TestOOMErrorsPropagateSorted(t *testing.T) {
 	cluster := hardware.DefaultCluster(2)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1})
 	p := core.NewPlan(cluster, g, core.PPOModels(model.LLaMA70B, model.LLaMA7B))
 	full := mesh.Full(cluster)
 	st := parallel.Strategy{DP: 16, TP: 1, PP: 1, MicroBatches: 1}

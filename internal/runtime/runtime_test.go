@@ -17,7 +17,7 @@ import (
 func ppoPlan(t *testing.T, nodes, iters int, actor, critic model.Config) *core.Plan {
 	t.Helper()
 	cluster := hardware.DefaultCluster(nodes)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: iters})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: iters})
 	p := core.NewPlan(cluster, g, core.PPOModels(actor, critic))
 	full := mesh.Full(cluster)
 	st := parallel.Strategy{DP: cluster.NumGPUs() / 8, TP: 8, PP: 1, MicroBatches: 2}
@@ -104,7 +104,7 @@ func TestMultiIterationAmortization(t *testing.T) {
 
 func TestRunReportsOOM(t *testing.T) {
 	cluster := hardware.DefaultCluster(2)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1})
 	p := core.NewPlan(cluster, g, core.PPOModels(model.LLaMA70B, model.LLaMA7B))
 	full := mesh.Full(cluster)
 	st := parallel.Strategy{DP: 16, TP: 1, PP: 1, MicroBatches: 1}
@@ -125,7 +125,7 @@ func TestRunReportsOOM(t *testing.T) {
 
 func TestAsymmetricPlanOverlapsAndReallocates(t *testing.T) {
 	cluster := hardware.DefaultCluster(2)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1})
 	p := core.NewPlan(cluster, g, core.PPOModels(model.LLaMA7B, model.LLaMA7B))
 	m0, _ := mesh.New(0, 8, 8)
 	m1, _ := mesh.New(8, 8, 8)

@@ -251,9 +251,21 @@ func walkHomeAndOffload(t *testing.T, e *estimator.Estimator, cost func(*core.Pl
 // evaluation; the assignment intern table, which survives rebinds, must not.
 func TestDeltaCostingSessionRebind(t *testing.T) {
 	p1, e := newProblem(t, 1, model.LLaMA7B, model.LLaMA7B, 64, 256, 256)
-	spec := dfg.Spec{Batch: 64, PromptLen: 256, GenLen: 256, MiniBatches: 8, Iterations: 2, GroupSize: 4}
-	ppo2 := dfg.BuildPPO(spec)
-	grpo2 := dfg.BuildGRPO(spec)
+	spec := dfg.Spec{Batch: 64, PromptLen: 256, GenLen: 256, MiniBatches: 8, Iterations: 2}
+	ppo2 := dfg.MustBuild("ppo", spec)
+	// GRPO with groups of 4: the paper table with every call's BatchScale
+	// halved.
+	grpoCalls, err := dfg.Workflow("grpo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range grpoCalls {
+		grpoCalls[i].BatchScale = 4
+	}
+	grpo2, err := dfg.Lower("grpo", grpoCalls, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p2 := core.NewPlan(p1.Cluster, ppo2, p1.Models)
 	p3 := core.NewPlan(p1.Cluster, grpo2, core.ModelsFor(grpo2, model.LLaMA7B, model.LLaMA7B))
 	var sets []map[string][]core.Assignment

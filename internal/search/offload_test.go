@@ -21,7 +21,7 @@ func offloadProblem(t *testing.T, batch, prompt, gen int) (*core.Plan, *estimato
 	t.Helper()
 	cluster := hardware.DefaultCluster(1)
 	cluster.GPUsPerNode = 4
-	g := dfg.BuildPPO(dfg.Spec{Batch: batch, PromptLen: prompt, GenLen: gen, Iterations: 1})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: batch, PromptLen: prompt, GenLen: gen, Iterations: 1})
 	models := core.PPOModels(model.LLaMA7B, model.LLaMA7B)
 	ref := models[dfg.Ref]
 	ref.Cfg = model.LLaMA34B

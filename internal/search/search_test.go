@@ -18,7 +18,7 @@ import (
 func newProblem(t *testing.T, nodes int, actor, critic model.Config, batch, prompt, gen int) (*core.Plan, *estimator.Estimator) {
 	t.Helper()
 	cluster := hardware.DefaultCluster(nodes)
-	g := dfg.BuildPPO(dfg.Spec{Batch: batch, PromptLen: prompt, GenLen: gen, Iterations: 1})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: batch, PromptLen: prompt, GenLen: gen, Iterations: 1})
 	p := core.NewPlan(cluster, g, core.PPOModels(actor, critic))
 	costers := map[dfg.Role]gpumodel.ModelCoster{}
 	for role, ms := range p.Models {

@@ -470,7 +470,8 @@ func TestErrorTaxonomyMapping(t *testing.T) {
 // TestPlanHandlerShapeErrors: over /v1/plan, a config whose generation
 // call fits no single device (gen_len 2^30) is a 422 infeasible_memory,
 // not a 500, and the shape rules — a modelled host size, no more
-// mini-batches than prompts — are 400 invalid_config.
+// mini-batches than prompts, sane per-call RPC fields, one producer per
+// data key — are 400 invalid_config.
 func TestPlanHandlerShapeErrors(t *testing.T) {
 	srv, hs, _ := newTestServer(t, Config{})
 	post := func(config string) (int, string) {
@@ -491,16 +492,29 @@ func TestPlanHandlerShapeErrors(t *testing.T) {
 	if code, wire := post(shape + `,"batch_size":64,"gen_len":1073741824`); code != http.StatusUnprocessableEntity || wire != CodeInfeasibleMemory {
 		t.Errorf("gen_len 2^30: HTTP %d code %q, want 422 %s", code, wire, CodeInfeasibleMemory)
 	}
-	for _, config := range []string{
+	// Per-call RPC fields: a train call whose BatchScale overflows, whose
+	// MiniBatches exceed its batch or are negative, and a second producer of
+	// the key "seq".
+	const gen = `{"model_name":"actor","model_type":"llama7b","interface_type":"GENERATE","input_data":["prompts"],"output_data":["seq"]}`
+	train := func(fields string) string {
+		return `,"batch_size":64,"gen_len":256,"rpcs":[` + gen +
+			`,{"model_name":"actor","model_type":"llama7b","interface_type":"TRAIN_STEP","input_data":["seq"]` + fields + `}]`
+	}
+	configs := []string{
 		shape + `,"batch_size":64,"gen_len":256,"gpus_per_node":3`,
 		shape + `,"batch_size":1,"gen_len":256,"mini_batches":8`,
-	} {
+		shape + train(`,"batch_scale":4611686018427387904`),
+		shape + train(`,"mini_batches":1000`),
+		shape + train(`,"mini_batches":-1`),
+		shape + train(`,"output_data":["seq"]`),
+	}
+	for _, config := range configs {
 		if code, wire := post(config); code != http.StatusBadRequest || wire != CodeInvalidConfig {
 			t.Errorf("config %s: HTTP %d code %q, want 400 %s", config, code, wire, CodeInvalidConfig)
 		}
 	}
-	if st := srv.Stats(); st.Infeasible != 1 || st.Invalid != 2 {
-		t.Errorf("stats = %+v, want 1 infeasible and 2 invalid", st)
+	if st := srv.Stats(); st.Infeasible != 1 || st.Invalid != int64(len(configs)) {
+		t.Errorf("stats = %+v, want 1 infeasible and %d invalid", st, len(configs))
 	}
 }
 

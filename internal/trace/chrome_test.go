@@ -31,7 +31,7 @@ type chromeDoc struct {
 
 func TestExportChromeTrace(t *testing.T) {
 	hw := hardware.DefaultCluster(2)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1})
 	models := core.PPOModels(model.LLaMA7B, model.LLaMA7B)
 	plan, err := baselines.BuildHeuristic(hw, g, models)
 	if err != nil {
@@ -88,7 +88,7 @@ func TestExportChromeTrace(t *testing.T) {
 // compute lanes.
 func TestChromeTraceStreamLanes(t *testing.T) {
 	hw := hardware.DefaultCluster(2)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1})
 	p := core.NewPlan(hw, g, core.PPOModels(model.LLaMA7B, model.LLaMA7B))
 	m0, _ := mesh.New(0, 8, 8)
 	m1, _ := mesh.New(8, 8, 8)

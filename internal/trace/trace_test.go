@@ -62,7 +62,7 @@ func TestSegmentsStringAndTotal(t *testing.T) {
 
 func TestPlanFractionsSumToOne(t *testing.T) {
 	hw := hardware.DefaultCluster(2)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 256, PromptLen: 512, GenLen: 512, Iterations: 1})
 	models := core.PPOModels(model.LLaMA7B, model.LLaMA7B)
 	p, err := baselines.BuildHeuristic(hw, g, models)
 	if err != nil {
@@ -98,7 +98,7 @@ func TestPlanFractionsSumToOne(t *testing.T) {
 // fraction of GPU time computing than the symmetric heuristic.
 func TestReaLReducesOverheadFractions(t *testing.T) {
 	hw := hardware.DefaultCluster(2)
-	g := dfg.BuildPPO(dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
+	g := dfg.MustBuild("ppo", dfg.Spec{Batch: 512, PromptLen: 1024, GenLen: 1024, Iterations: 1})
 	models := core.PPOModels(model.LLaMA7B, model.LLaMA7B)
 	costers := map[dfg.Role]gpumodel.ModelCoster{}
 	for role, ms := range models {

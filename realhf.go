@@ -72,7 +72,7 @@ func (t InterfaceType) String() string {
 // together induce the dataflow graph.
 type ModelFunctionCallDef struct {
 	// Name optionally overrides the call's display name; defaults to
-	// "<ModelName>/<InterfaceType>".
+	// "<ModelName>/<InterfaceType>". Names must be unique within RPCs.
 	Name string `json:"name,omitempty"`
 	// ModelName identifies the LLM ("actor", "critic", "ref", "reward").
 	ModelName string `json:"model_name"`
@@ -81,18 +81,22 @@ type ModelFunctionCallDef struct {
 	ModelType string `json:"model_type"`
 	// InterfaceType selects generation, inference, or training.
 	InterfaceType InterfaceType `json:"interface_type"`
-	// InputData and OutputData wire the dataflow graph.
+	// InputData and OutputData wire the dataflow graph; each output key
+	// may be produced by only one call.
 	InputData  []string `json:"input_data,omitempty"`
 	OutputData []string `json:"output_data,omitempty"`
 	// BatchScale multiplies the experiment's BatchSize for this call
 	// (0 or 1 means unscaled). The algorithm presets use it where a
 	// workflow inflates the sequence count per prompt: GRPO's grouped
-	// generation processes BatchSize×GroupSize sequences, and DPO's calls
-	// see both the chosen and rejected sequence of every preference pair.
+	// generation processes BatchSize×GRPOGroupSize sequences, and DPO's
+	// calls see both the chosen and rejected sequence of every preference
+	// pair. A negative or overflowing scale is an invalid config.
 	BatchScale int `json:"batch_scale,omitempty"`
 	// MiniBatches overrides ExperimentConfig.MiniBatches for this TrainStep
 	// call (0 keeps the experiment-wide default). DPO and ReMax train over
-	// the full batch (MiniBatches = 1) while PPO defaults to 8.
+	// the full batch (MiniBatches = 1) while PPO defaults to 8. It must not
+	// be negative, and a TrainStep call's mini-batches must not exceed its
+	// scaled batch.
 	MiniBatches int `json:"mini_batches,omitempty"`
 }
 
@@ -262,7 +266,7 @@ func DPORPCs(actorType string) []ModelFunctionCallDef {
 
 // GRPOGroupSize is the per-prompt response-group size of the GRPO preset
 // (8 in the paper).
-const GRPOGroupSize = 8
+const GRPOGroupSize = dfg.GRPOGroupSize
 
 // GRPORPCs returns the GRPO workflow of paper Fig. 16: grouped actor
 // generation (GRPOGroupSize sampled responses per prompt) feeding reward and
@@ -364,93 +368,53 @@ func parseModelType(s string) (model.Config, bool, error) {
 	return cfg, critic, nil
 }
 
-// buildGraph lowers RPC definitions into the internal dataflow graph.
+// buildGraph resolves the RPCs' model cast and lowers them through the one
+// dataflow-graph builder, dfg.Lower.
 func buildGraph(c ExperimentConfig) (*dfg.Graph, map[dfg.Role]core.ModelSpec, error) {
 	if len(c.RPCs) == 0 {
 		return nil, nil, fmt.Errorf("realhf: experiment has no RPCs: %w", ErrInvalidConfig)
 	}
-	g := dfg.NewGraph("custom")
 	models := map[dfg.Role]core.ModelSpec{}
-
-	type produced struct{ node *dfg.Node }
-	var prevTrain map[dfg.Role]*dfg.Node
-
-	for iter := 0; iter < c.Iterations; iter++ {
-		producers := map[string]produced{}
-		var nodes []*dfg.Node
-		// First pass: create nodes and record outputs.
-		for _, rpc := range c.RPCs {
-			cfg, critic, err := parseModelType(rpc.ModelType)
-			if err != nil {
-				return nil, nil, err
-			}
-			role := dfg.Role(rpc.ModelName)
-			ms, ok := models[role]
-			if !ok {
-				ms = core.ModelSpec{Role: role, Cfg: cfg, IsCritic: critic}
-			} else if ms.Cfg.Name != cfg.Name {
-				return nil, nil, fmt.Errorf("realhf: model %q declared with types %q and %q: %w",
-					rpc.ModelName, ms.Cfg.Name, cfg.Name, ErrInvalidConfig)
-			}
-			name := rpc.Name
-			if name == "" {
-				name = fmt.Sprintf("%s/%s", rpc.ModelName, rpc.InterfaceType)
-			}
-			var typ dfg.CallType
-			work := dfg.Workload{Batch: c.BatchSize, PromptLen: c.PromptLen, GenLen: c.GenLen}
-			if rpc.BatchScale > 1 {
-				work.Batch *= rpc.BatchScale
-			}
-			switch rpc.InterfaceType {
-			case Generate:
-				typ = dfg.Generate
-			case Inference:
-				typ = dfg.Inference
-			case TrainStep:
-				typ = dfg.Train
-				work.MiniBatches = c.MiniBatches
-				if rpc.MiniBatches > 0 {
-					work.MiniBatches = rpc.MiniBatches
-				}
-				ms.Trainable = true
-			default:
-				return nil, nil, fmt.Errorf("realhf: bad interface type %v: %w", rpc.InterfaceType, ErrInvalidConfig)
-			}
-			models[role] = ms
-			n := g.AddNode(name, role, typ, iter, work)
-			nodes = append(nodes, n)
-			for _, out := range rpc.OutputData {
-				producers[out] = produced{node: n}
-			}
+	calls := make([]dfg.Call, len(c.RPCs))
+	for i, rpc := range c.RPCs {
+		cfg, critic, err := parseModelType(rpc.ModelType)
+		if err != nil {
+			return nil, nil, err
 		}
-		// Second pass: wire data dependencies within the iteration
-		// (deduplicated: several named tensors may flow along one edge).
-		for i, rpc := range c.RPCs {
-			wired := map[int]bool{}
-			for _, in := range rpc.InputData {
-				p, ok := producers[in]
-				if !ok || p.node == nodes[i] || wired[p.node.ID] {
-					continue
-				}
-				wired[p.node.ID] = true
-				g.AddEdge(p.node, nodes[i])
-			}
+		role := dfg.Role(rpc.ModelName)
+		ms, ok := models[role]
+		if !ok {
+			ms = core.ModelSpec{Role: role, Cfg: cfg, IsCritic: critic}
+		} else if ms.Cfg.Name != cfg.Name {
+			return nil, nil, fmt.Errorf("realhf: model %q declared with types %q and %q: %w",
+				rpc.ModelName, ms.Cfg.Name, cfg.Name, ErrInvalidConfig)
 		}
-		// Parameter-version edges from the previous iteration's training.
-		for i, rpc := range c.RPCs {
-			role := dfg.Role(rpc.ModelName)
-			if prev, ok := prevTrain[role]; ok && prev != nil {
-				g.AddEdge(prev, nodes[i])
-			}
+		call := dfg.Call{
+			Name: rpc.Name, Role: role, Inputs: rpc.InputData, Outputs: rpc.OutputData,
+			BatchScale: rpc.BatchScale, MiniBatches: rpc.MiniBatches,
 		}
-		prevTrain = map[dfg.Role]*dfg.Node{}
-		for i, rpc := range c.RPCs {
-			if rpc.InterfaceType == TrainStep {
-				prevTrain[dfg.Role(rpc.ModelName)] = nodes[i]
-			}
+		if call.Name == "" {
+			call.Name = fmt.Sprintf("%s/%s", rpc.ModelName, rpc.InterfaceType)
 		}
+		switch rpc.InterfaceType {
+		case Generate:
+			call.Type = dfg.Generate
+		case Inference:
+			call.Type = dfg.Inference
+		case TrainStep:
+			call.Type = dfg.Train
+			ms.Trainable = true
+		default:
+			return nil, nil, fmt.Errorf("realhf: bad interface type %v: %w", rpc.InterfaceType, ErrInvalidConfig)
+		}
+		models[role] = ms
+		calls[i] = call
 	}
-	if err := g.Validate(); err != nil {
+	g, err := dfg.Lower("custom", calls, dfg.Spec{
+		Batch: c.BatchSize, PromptLen: c.PromptLen, GenLen: c.GenLen,
+		MiniBatches: c.MiniBatches, Iterations: c.Iterations,
+	})
+	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %w", err, ErrInvalidConfig)
 	}
 	return g, models, nil
